@@ -223,24 +223,6 @@ func normalize(t *testing.T, body []byte) string {
 	return string(out)
 }
 
-// dropScanCycles removes lexScanCycles from a normalized answer: it
-// varies with chunk boundaries (a chunked session costs an extra scan
-// cycle at the seam), so whole-document and chunked answers compare
-// without it while two identically-chunked answers compare with it.
-func dropScanCycles(t *testing.T, norm string) string {
-	t.Helper()
-	var m map[string]any
-	if err := json.Unmarshal([]byte(norm), &m); err != nil {
-		t.Fatal(err)
-	}
-	delete(m, "lexScanCycles")
-	out, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
-}
-
 // startFleet boots n durable aspend nodes and a router over them.
 // Each node keeps its state dir and listen address so it can be
 // restarted in place.
@@ -279,14 +261,13 @@ func TestFleetChaosKillOwnerMidStream(t *testing.T) {
 
 	// Reference answers: an uninterrupted whole-document parse, and an
 	// uninterrupted session with the same chunk boundaries the chaos
-	// session will use (lexScanCycles legitimately differs between the
-	// two — a chunk seam costs one extra scan cycle — so the whole-doc
-	// comparison drops it while the like-for-like one keeps it).
+	// session will use. Both must match the failover conclusion in every
+	// field, lexScanCycles included: a chunk seam costs no re-scan.
 	status, ref := router.post("/v1/parse/JSON", doc)
 	if status != http.StatusOK {
 		t.Fatalf("reference parse: status %d: %s", status, ref)
 	}
-	wantWhole := dropScanCycles(t, normalize(t, ref))
+	wantWhole := normalize(t, ref)
 	if status, out := router.post("/v1/parse/JSON?session=ref", doc[:half]); status != http.StatusOK {
 		t.Fatalf("reference session chunk: status %d: %s", status, out)
 	}
@@ -357,8 +338,8 @@ func TestFleetChaosKillOwnerMidStream(t *testing.T) {
 	if got != wantFinal {
 		t.Fatalf("failover conclusion differs from an uninterrupted identically-chunked session:\n got: %s\nwant: %s", got, wantFinal)
 	}
-	if dropScanCycles(t, got) != wantWhole {
-		t.Fatalf("failover conclusion differs from the whole-document parse:\n got: %s\nwant: %s", dropScanCycles(t, got), wantWhole)
+	if got != wantWhole {
+		t.Fatalf("failover conclusion differs from the whole-document parse:\n got: %s\nwant: %s", got, wantWhole)
 	}
 
 	// Membership reconverges around the loss.

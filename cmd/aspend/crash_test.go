@@ -218,23 +218,6 @@ func normalize(t *testing.T, body []byte) string {
 	return string(out)
 }
 
-// dropScanCycles removes the lexScanCycles field from an already
-// normalized answer (it varies with chunk boundaries, see the session
-// comparison below).
-func dropScanCycles(t *testing.T, norm string) string {
-	t.Helper()
-	var m map[string]any
-	if err := json.Unmarshal([]byte(norm), &m); err != nil {
-		t.Fatal(err)
-	}
-	delete(m, "lexScanCycles")
-	out, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
-}
-
 // parseNormalized runs one parse and returns the normalized answer.
 func parseNormalized(t *testing.T, d *daemon, grammar string, doc []byte) string {
 	t.Helper()
@@ -348,10 +331,9 @@ func TestCrashRecoveryKill9(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("session final half: status %d: %s", status, out)
 	}
-	// lexScanCycles is a function of chunk boundaries, not durability: a
-	// split mid-token costs one handoff re-scan whether or not a crash
-	// happened between the chunks. Everything else must match exactly.
-	if final, whole := dropScanCycles(t, normalize(t, out)), dropScanCycles(t, want["JSON"]); final != whole {
+	// Every field matches, lexScanCycles included: the lexer run resumes
+	// from the checkpoint, so a split mid-token costs no re-scan.
+	if final, whole := normalize(t, out), want["JSON"]; final != whole {
 		t.Fatalf("resumed session answer differs from whole-document parse:\n session: %s\n   whole: %s", final, whole)
 	}
 

@@ -27,12 +27,14 @@ func modalSpec() Spec {
 }
 
 // FuzzTokenizeChunkResume is the chunk-boundary resumption property:
-// feeding arbitrary input through TokenizeChunk in arbitrary pieces
-// (carrying mode and unconsumed tail across boundaries, flushing with
-// TokenizeResume) must produce exactly the tokens, token count, and
-// error — same absolute position, byte, and mode — as one whole-input
-// Tokenize. Run `go test -fuzz=FuzzTokenizeChunkResume` to explore;
-// seeds run on plain `go test`.
+// feeding arbitrary input through a Scan in arbitrary pieces, then
+// Finish, must produce exactly the tokens, stats, and error — same
+// absolute position, byte, and mode — as one whole-input Tokenize. The
+// chunked side runs on both the NFA and the determinized lexer against
+// the NFA's whole-input answer, so the two runners (and their failure
+// memos) stay cycle-for-cycle equal. Run `go test
+// -fuzz=FuzzTokenizeChunkResume` to explore; seeds run on plain `go
+// test`.
 func FuzzTokenizeChunkResume(f *testing.F) {
 	seeds := []string{
 		"if x1 + 42",
@@ -51,98 +53,75 @@ func FuzzTokenizeChunkResume(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	fast, err := New(modalSpec())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := fast.Optimize(); err != nil {
+		f.Fatal(err)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
 		wantToks, wantStats, wantErr := l.Tokenize(data)
+		for _, lx := range []*Lexer{l, fast} {
+			var (
+				s      Scan
+				got    []Token
+				gotErr error
+				scan   Stats
+				pos    = 0
+				rng    = seed
+			)
+			if err := s.Reset(lx, DefaultMode); err != nil {
+				t.Fatal(err)
+			}
+			add := func(toks []Token, st Stats, err error) {
+				got = toks
+				scan.Bytes += st.Bytes
+				scan.Tokens += st.Tokens
+				scan.ScanCycles += st.ScanCycles
+				scan.HandoffCycles += st.HandoffCycles
+				gotErr = err
+			}
+			for pos < len(data) && gotErr == nil {
+				rng = rng*6364136223846793005 + 1442695040888963407
+				n := 1 + int((rng>>33)%7)
+				if pos+n > len(data) {
+					n = len(data) - pos
+				}
+				add(s.Feed(got, data[pos:pos+n]))
+				pos += n
+			}
+			if gotErr == nil {
+				// End of stream: the pending lexeme resolves its longest match.
+				add(s.Finish(got))
+			}
 
-		var (
-			got    []Token
-			gotErr error
-			tail   []byte
-			scan   Stats
-			mode   = DefaultMode
-			offset = 0
-			pos    = 0
-			rng    = seed
-		)
-		rebase := func(err error) error {
-			var le *Error
-			if errors.As(err, &le) {
-				e := *le
-				e.Pos += offset
-				return &e
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("error mismatch: whole=%v chunked=%v (input %q seed %d)", wantErr, gotErr, data, seed)
 			}
-			return err
-		}
-		for pos < len(data) {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			n := 1 + int((rng>>33)%7)
-			if pos+n > len(data) {
-				n = len(data) - pos
+			if wantErr != nil {
+				var we, ge *Error
+				if !errors.As(wantErr, &we) || !errors.As(gotErr, &ge) {
+					t.Fatalf("non-lexer error: whole=%v chunked=%v", wantErr, gotErr)
+				}
+				if we.Pos != ge.Pos || we.Byte != ge.Byte || we.Mode != ge.Mode {
+					t.Fatalf("error diverged: whole=%+v chunked=%+v (input %q seed %d)", we, ge, data, seed)
+				}
 			}
-			tail = append(tail, data[pos:pos+n]...)
-			pos += n
-			toks, consumed, m, st, err := l.TokenizeChunk(tail, mode)
-			scan.Tokens += st.Tokens
-			scan.ScanCycles += st.ScanCycles
-			scan.HandoffCycles += st.HandoffCycles
-			for _, tk := range toks {
-				tk.Start += offset
-				tk.End += offset
-				got = append(got, tk)
+			if len(got) != len(wantToks) {
+				t.Fatalf("token count: chunked=%d whole=%d (input %q seed %d)", len(got), len(wantToks), data, seed)
 			}
-			if err != nil {
-				gotErr = rebase(err)
-				break
+			for i := range got {
+				if got[i] != wantToks[i] {
+					t.Fatalf("token %d: chunked=%+v whole=%+v (input %q seed %d)", i, got[i], wantToks[i], data, seed)
+				}
 			}
-			mode = m
-			offset += consumed
-			tail = append(tail[:0], tail[consumed:]...)
-		}
-		if gotErr == nil {
-			// End of stream: the held-back tail resolves its longest match.
-			toks, st, _, err := l.TokenizeResume(tail, mode)
-			scan.Tokens += st.Tokens
-			scan.ScanCycles += st.ScanCycles
-			scan.HandoffCycles += st.HandoffCycles
-			for _, tk := range toks {
-				tk.Start += offset
-				tk.End += offset
-				got = append(got, tk)
-			}
-			if err != nil {
-				gotErr = rebase(err)
-			}
-		}
-
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("error mismatch: whole=%v chunked=%v (input %q seed %d)", wantErr, gotErr, data, seed)
-		}
-		if wantErr != nil {
-			var we, ge *Error
-			if !errors.As(wantErr, &we) || !errors.As(gotErr, &ge) {
-				t.Fatalf("non-lexer error: whole=%v chunked=%v", wantErr, gotErr)
-			}
-			if we.Pos != ge.Pos || we.Byte != ge.Byte || we.Mode != ge.Mode {
-				t.Fatalf("error diverged: whole=%+v chunked=%+v (input %q seed %d)", we, ge, data, seed)
-			}
-		}
-		if len(got) != len(wantToks) {
-			t.Fatalf("token count: chunked=%d whole=%d (input %q seed %d)", len(got), len(wantToks), data, seed)
-		}
-		for i := range got {
-			if got[i] != wantToks[i] {
-				t.Fatalf("token %d: chunked=%+v whole=%+v (input %q seed %d)", i, got[i], wantToks[i], data, seed)
-			}
-		}
-		if wantErr == nil {
-			// Lexeme and handoff counts are chunking-invariant; only scan
-			// cycles may grow (the tail is re-presented at each boundary).
-			if scan.Tokens != wantStats.Tokens || scan.HandoffCycles != wantStats.HandoffCycles {
-				t.Fatalf("stats diverged: chunked=%+v whole=%+v", scan, wantStats)
-			}
-			if scan.ScanCycles < wantStats.ScanCycles {
-				t.Fatalf("chunked scan cycles %d < whole %d — re-scanning can only add work", scan.ScanCycles, wantStats.ScanCycles)
+			// Every stat is chunking-invariant: the scan resumes its run
+			// across boundaries instead of re-presenting the pending
+			// lexeme, so even scan cycles match exactly.
+			if wantErr == nil && scan != wantStats {
+				t.Fatalf("stats diverged: chunked=%+v whole=%+v (input %q seed %d)", scan, wantStats, data, seed)
 			}
 		}
 	})

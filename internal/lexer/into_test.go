@@ -18,8 +18,9 @@ func intoSpec(t *testing.T) *Lexer {
 	return l
 }
 
-// The Into variants are pure buffer-reuse forms: identical tokens,
-// stats and modes, appended into the caller's slice.
+// The Into and Scan forms are pure buffer-reuse forms of
+// TokenizeResume: identical tokens, stats and modes, appended into the
+// caller's slice.
 func TestTokenizeIntoEquivalence(t *testing.T) {
 	input := []byte("abc 123 de 4 fgh")
 	for _, optimize := range []bool{false, true} {
@@ -29,33 +30,37 @@ func TestTokenizeIntoEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		wantToks, wantN, wantMode, wantStats, wantErr := l.TokenizeChunk(input, DefaultMode)
-		buf := make([]Token, 0, 1) // deliberately too small: must grow correctly
-		gotToks, gotN, gotMode, gotStats, gotErr := l.TokenizeChunkInto(buf, input, DefaultMode)
-		if !reflect.DeepEqual(wantToks, gotToks) || wantN != gotN || wantMode != gotMode ||
-			wantStats != gotStats || (wantErr == nil) != (gotErr == nil) {
-			t.Errorf("optimize=%v: chunk-into mismatch:\nwant %v %d %q %+v %v\ngot  %v %d %q %+v %v",
-				optimize, wantToks, wantN, wantMode, wantStats, wantErr, gotToks, gotN, gotMode, gotStats, gotErr)
-		}
-
 		rToks, rStats, rMode, rErr := l.TokenizeResume(input, DefaultMode)
-		iToks, iStats, iMode, iErr := l.TokenizeResumeInto(nil, input, DefaultMode)
+		iToks, iStats, iMode, iErr := l.TokenizeResumeInto(make([]Token, 0, 1), input, DefaultMode)
 		if !reflect.DeepEqual(rToks, iToks) || rStats != iStats || rMode != iMode ||
 			(rErr == nil) != (iErr == nil) {
 			t.Errorf("optimize=%v: resume-into mismatch", optimize)
 		}
+
+		sToks, sStats, err := scanAll(t, l, input, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rToks, sToks) || rStats != sStats {
+			t.Errorf("optimize=%v: chunked scan mismatch:\nwant %v %+v\ngot  %v %+v",
+				optimize, rToks, rStats, sToks, sStats)
+		}
 	}
 }
 
-// Reusing the destination slice across calls must not corrupt earlier
+// Reusing the destination slice across Feeds must not corrupt earlier
 // results when the caller re-slices, and must reuse capacity.
 func TestTokenizeIntoReuse(t *testing.T) {
 	l := intoSpec(t)
 	if err := l.Optimize(); err != nil {
 		t.Fatal(err)
 	}
+	var s Scan
+	if err := s.Reset(l, DefaultMode); err != nil {
+		t.Fatal(err)
+	}
 	var buf []Token
-	toks, _, _, _, err := l.TokenizeChunkInto(buf[:0], []byte("aa 11 bb "), DefaultMode)
+	toks, _, err := s.Feed(buf[:0], []byte("aa 11 bb "))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,35 +68,59 @@ func TestTokenizeIntoReuse(t *testing.T) {
 		t.Fatalf("got %d tokens, want 3", len(toks))
 	}
 	buf = toks
-	toks2, _, _, _, err := l.TokenizeChunkInto(buf[:0], []byte("c 2 "), DefaultMode)
+	toks2, _, err := s.Feed(buf[:0], []byte("c 2 "))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(toks2) != 2 || toks2[0].Name != "WORD" || toks2[1].Name != "NUM" {
 		t.Fatalf("reused-buffer tokens wrong: %+v", toks2)
 	}
+	if toks2[0].Start != 9 || toks2[1].End != 12 {
+		t.Fatalf("tokens not at absolute stream offsets: %+v", toks2)
+	}
 }
 
-// Steady-state scans draw their NFA/DFA runners from the per-mode pool:
-// after warm-up, tokenizing into a reused buffer performs no per-lexeme
-// allocations (the scan costs at most the one deferred pool return).
+// Steady-state scans allocate nothing per lexeme: a DFA scan needs no
+// runner at all, and an NFA scan draws its runner from the mode's pool.
 func TestTokenizeIntoSteadyStateAllocs(t *testing.T) {
-	l := intoSpec(t)
-	if err := l.Optimize(); err != nil {
-		t.Fatal(err)
-	}
 	input := []byte("abc 123 de 4 fgh 55 iii 666 jj 7 kkk 88 l 9 mm 10")
-	var buf []Token
-	scan := func() {
-		toks, _, _, _, err := l.TokenizeChunkInto(buf[:0], input, DefaultMode)
-		if err != nil {
-			t.Fatal(err)
+	for _, optimize := range []bool{false, true} {
+		l := intoSpec(t)
+		if optimize {
+			if err := l.Optimize(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		buf = toks
-	}
-	scan() // warm-up: grow buf, populate the runner pool
-	allocs := testing.AllocsPerRun(500, scan)
-	if allocs > 2 {
-		t.Errorf("steady-state scan = %v allocs, want ≤ 2 (runner pooling defeated?)", allocs)
+		var buf []Token
+		whole := func() {
+			toks, _, _, err := l.TokenizeResumeInto(buf[:0], input, DefaultMode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf = toks
+		}
+		var s Scan
+		chunked := func() {
+			if err := s.Reset(l, DefaultMode); err != nil {
+				t.Fatal(err)
+			}
+			toks, _, err := s.Feed(buf[:0], input[:20])
+			if err == nil {
+				toks, _, err = s.Feed(toks, input[20:])
+			}
+			if err == nil {
+				toks, _, err = s.Finish(toks)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf = toks
+		}
+		for name, f := range map[string]func(){"whole": whole, "chunked": chunked} {
+			f() // warm-up: grow buf, populate the runner pool
+			if allocs := testing.AllocsPerRun(500, f); allocs > 1 {
+				t.Errorf("optimize=%v %s: steady-state scan = %v allocs, want ≤ 1", optimize, name, allocs)
+			}
+		}
 	}
 }

@@ -9,11 +9,12 @@
 package lexer
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"sync"
 
-	"aspen/internal/core"
 	"aspen/internal/nfa"
 	"aspen/internal/telemetry"
 )
@@ -63,7 +64,9 @@ type Stats struct {
 	// lexemes).
 	Tokens int
 	// ScanCycles counts NFA symbol cycles, including the lookahead
-	// bytes re-scanned after each longest-match backtrack.
+	// bytes re-scanned after each longest-match backtrack. A streamed
+	// input costs the same cycles however it is chunked: a Scan resumes
+	// its run across chunks instead of re-scanning the pending lexeme.
 	ScanCycles int
 	// HandoffCycles counts report-to-token conversion cycles (2 per
 	// emitted report, §V-A).
@@ -72,11 +75,10 @@ type Stats struct {
 
 // Observe adds the stats to reg's lexer series, so tokenization work is
 // queryable next to the parser's cycle counts. Streaming callers invoke
-// it per chunk; note that Bytes and ScanCycles then include the bytes
-// re-presented (and re-scanned) after a longest-match boundary wait, so
-// they measure work performed, not input length.
+// it per chunk; every byte is presented once, so the totals equal those
+// of one whole-input scan.
 func (s Stats) Observe(reg *telemetry.Registry) {
-	reg.Counter("lexer_bytes_total", "bytes presented to the lexer (including chunk-boundary re-presentation)").Add(int64(s.Bytes))
+	reg.Counter("lexer_bytes_total", "bytes presented to the lexer").Add(int64(s.Bytes))
 	reg.Counter("lexer_tokens_total", "tokens emitted (including skipped lexemes)").Add(int64(s.Tokens))
 	reg.Counter("lexer_scan_cycles_total", "NFA symbol cycles, including longest-match backtrack re-scans").Add(int64(s.ScanCycles))
 	reg.Counter("lexer_handoff_cycles_total", "report-to-token conversion cycles (2 per emitted report)").Add(int64(s.HandoffCycles))
@@ -97,46 +99,36 @@ func (e *Error) Error() string {
 // modeNFA is the compiled automaton of one mode: rule indices are mapped
 // to per-mode report codes.
 type modeNFA struct {
+	name  string
+	idx   int // position in Lexer.order
 	n     *nfa.NFA
 	dfa   *nfa.DFA // fast path, built by Optimize
 	rules []int    // report code → rule index
 	runs  sync.Pool
 }
 
-// stepper abstracts the NFA active-set run and the determinized run.
-// Both runners rewind in place, so one runner serves every lexeme of a
-// scan — and, through the pool, every scan of the process.
-type stepper interface {
-	Step(sym core.Symbol) (alive bool, report int32)
-	Reset()
-}
-
-// newRun returns the fastest available runner for the mode.
-func (mn *modeNFA) newRun() stepper {
-	if mn.dfa != nil {
-		return mn.dfa.NewRun()
-	}
-	return mn.n.NewRun()
-}
-
-// getRun returns a rewound runner, reusing a pooled one when available.
-// A Lexer is shared by every parser of its Language (concurrent scans
-// under the serving path), hence a sync.Pool rather than a cached field.
-func (mn *modeNFA) getRun() stepper {
+// getRun returns a rewound NFA runner for a mode without a DFA, reusing
+// a pooled one when available. A Lexer is shared by every parser of its
+// Language (concurrent scans under the serving path), hence a sync.Pool
+// rather than a cached field.
+func (mn *modeNFA) getRun() *nfa.Run {
 	if v := mn.runs.Get(); v != nil {
-		r := v.(stepper)
+		r := v.(*nfa.Run)
 		r.Reset()
 		return r
 	}
-	return mn.newRun()
+	return mn.n.NewRun()
 }
-
-func (mn *modeNFA) putRun(r stepper) { mn.runs.Put(r) }
 
 // Lexer is a compiled tokenizer.
 type Lexer struct {
 	spec  Spec
 	modes map[string]*modeNFA
+	order []*modeNFA // modes sorted by name
+	next  []*modeNFA // per rule: the mode it switches to, or nil
+
+	fpOnce sync.Once
+	fp     uint64
 }
 
 // New compiles a spec. All patterns must be non-nullable (a rule matching
@@ -179,7 +171,15 @@ func New(spec Spec) (*Lexer, error) {
 			return nil, fmt.Errorf("lexer %s mode %s: rule %q matches the empty string",
 				spec.Name, m, spec.Rules[idxs[n.EmptyReport]].Name)
 		}
-		l.modes[m] = &modeNFA{n: n, rules: idxs}
+		mn := &modeNFA{name: m, idx: len(l.order), n: n, rules: idxs}
+		l.modes[m] = mn
+		l.order = append(l.order, mn)
+	}
+	l.next = make([]*modeNFA, len(spec.Rules))
+	for i, r := range spec.Rules {
+		if r.SetMode != "" {
+			l.next[i] = l.modes[r.SetMode]
+		}
 	}
 	return l, nil
 }
@@ -191,19 +191,86 @@ func (l *Lexer) NumModes() int { return len(l.modes) }
 // software scanning costs one table lookup per byte. Tokenization
 // behaviour is unchanged — the DFA preserves report codes and rule
 // priority — and the hardware model is unaffected (ASPEN runs the NFA
-// natively). Safe to call more than once.
+// natively). Safe to call more than once, but not concurrently with a
+// scan or with Fingerprint.
 func (l *Lexer) Optimize() error {
-	for name, mn := range l.modes {
+	l.fpOnce = sync.Once{} // the tables change
+	for _, mn := range l.order {
 		if mn.dfa != nil {
 			continue
 		}
 		d, err := mn.n.Determinize()
 		if err != nil {
-			return fmt.Errorf("lexer %s mode %s: %w", l.spec.Name, name, err)
+			return fmt.Errorf("lexer %s mode %s: %w", l.spec.Name, mn.name, err)
 		}
 		mn.dfa = d
 	}
 	return nil
+}
+
+// Fingerprint is a deterministic hash of the compiled mode tables: the
+// rules, each mode's report map, and the DFA or NFA the mode runs. A
+// Scan's saved run configuration holds raw DFA state IDs or NFA active
+// sets, which mean something only on a lexer with the same fingerprint.
+func (l *Lexer) Fingerprint() uint64 {
+	l.fpOnce.Do(func() { l.fp = l.fingerprint() })
+	return l.fp
+}
+
+func (l *Lexer) fingerprint() uint64 {
+	var b []byte
+	u32 := func(v int) { b = binary.LittleEndian.AppendUint32(b, uint32(v)) }
+	str := func(s string) { u32(len(s)); b = append(b, s...) }
+	for _, r := range l.spec.Rules {
+		str(r.Name)
+		str(r.SetMode)
+		if r.Skip {
+			u32(1)
+		} else {
+			u32(0)
+		}
+	}
+	for _, mn := range l.order {
+		str(mn.name)
+		u32(len(mn.rules))
+		for _, r := range mn.rules {
+			u32(r)
+		}
+		if d := mn.dfa; d != nil {
+			u32(int(d.Start))
+			u32(len(d.Report))
+			for _, v := range d.Trans {
+				u32(int(v))
+			}
+			for _, v := range d.Report {
+				u32(int(v))
+			}
+			continue
+		}
+		u32(-1)
+		u32(len(mn.n.States))
+		for _, st := range mn.n.States {
+			for _, w := range st.Match {
+				b = binary.LittleEndian.AppendUint64(b, w)
+			}
+			if st.Accept {
+				u32(int(st.Report))
+			} else {
+				u32(-1)
+			}
+			u32(len(st.Succ))
+			for _, t := range st.Succ {
+				u32(int(t))
+			}
+		}
+		u32(len(mn.n.Starts))
+		for _, t := range mn.n.Starts {
+			u32(int(t))
+		}
+	}
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
 // Tokenize scans input to completion, returning the non-skip tokens and
@@ -214,101 +281,21 @@ func (l *Lexer) Tokenize(input []byte) ([]Token, Stats, error) {
 }
 
 // TokenizeResume scans input starting in the given mode and additionally
-// returns the mode in effect after the final token — the state a
-// streaming caller must carry across chunk boundaries.
+// returns the mode in effect after the final token.
 func (l *Lexer) TokenizeResume(input []byte, mode string) ([]Token, Stats, string, error) {
-	toks, _, mode, stats, err := l.scan(nil, input, mode, false)
-	return toks, stats, mode, err
+	return l.TokenizeResumeInto(nil, input, mode)
 }
 
 // TokenizeResumeInto is TokenizeResume appending into dst (pass
 // dst[:0] to reuse its capacity across calls, the pooled-parser path).
 func (l *Lexer) TokenizeResumeInto(dst []Token, input []byte, mode string) ([]Token, Stats, string, error) {
-	toks, _, mode, stats, err := l.scan(dst, input, mode, false)
-	return toks, stats, mode, err
-}
-
-// TokenizeChunk scans input as a *prefix of a longer stream*: it stops
-// before the final lexeme whenever that lexeme touches the end of the
-// chunk with live NFA states (more data could extend the match, so the
-// longest-match decision is not yet safe). It returns the completed
-// tokens, the number of bytes definitely consumed, and the mode at the
-// consumption point; the caller re-presents input[consumed:] prefixed to
-// the next chunk.
-func (l *Lexer) TokenizeChunk(input []byte, mode string) (toks []Token, consumed int, endMode string, stats Stats, err error) {
-	return l.scan(nil, input, mode, true)
-}
-
-// TokenizeChunkInto is TokenizeChunk appending into dst (pass dst[:0]
-// to reuse its capacity across chunks).
-func (l *Lexer) TokenizeChunkInto(dst []Token, input []byte, mode string) (toks []Token, consumed int, endMode string, stats Stats, err error) {
-	return l.scan(dst, input, mode, true)
-}
-
-// scan is the shared tokenization loop. Tokens are appended to dst.
-func (l *Lexer) scan(dst []Token, input []byte, mode string, streaming bool) (toks []Token, consumed int, endMode string, stats Stats, err error) {
-	toks = dst
-	stats = Stats{Bytes: len(input)}
-	if _, ok := l.modes[mode]; !ok {
-		return toks, 0, mode, stats, fmt.Errorf("lexer %s: unknown mode %q", l.spec.Name, mode)
+	var s Scan
+	if err := s.Reset(l, mode); err != nil {
+		return dst, Stats{Bytes: len(input)}, mode, err
 	}
-	// One runner per mode encountered, drawn from the mode's pool and
-	// rewound per lexeme: the scan costs O(modes) pool round-trips, not
-	// O(lexemes).
-	var run stepper
-	runMode := ""
-	defer func() {
-		if run != nil {
-			l.modes[runMode].putRun(run)
-		}
-	}()
-	pos := 0
-	for pos < len(input) {
-		mn := l.modes[mode]
-		if run == nil || runMode != mode {
-			if run != nil {
-				l.modes[runMode].putRun(run)
-			}
-			run = mn.getRun()
-			runMode = mode
-		} else {
-			run.Reset()
-		}
-		best, bestRule := -1, -1
-		alive := false
-		i := pos
-		for i < len(input) {
-			var rep int32
-			alive, rep = run.Step(core.Symbol(input[i]))
-			i++
-			if rep >= 0 {
-				best, bestRule = i, mn.rules[rep]
-			}
-			if !alive {
-				break
-			}
-		}
-		stats.ScanCycles += i - pos
-		if streaming && alive {
-			// The lexeme reaches the chunk boundary with live states:
-			// the longest-match decision must wait for more input.
-			return toks, pos, mode, stats, nil
-		}
-		if best < 0 {
-			return toks, pos, mode, stats, &Error{Spec: l.spec.Name, Pos: pos, Byte: input[pos], Mode: mode}
-		}
-		rule := &l.spec.Rules[bestRule]
-		stats.Tokens++
-		if !rule.Skip {
-			toks = append(toks, Token{Rule: bestRule, Name: rule.Name, Start: pos, End: best})
-			stats.HandoffCycles += 2
-		}
-		if rule.SetMode != "" {
-			mode = rule.SetMode
-		}
-		pos = best
-	}
-	return toks, pos, mode, stats, nil
+	toks, stats, err := s.scan(dst, input, true)
+	s.release()
+	return toks, stats, s.Mode(), err
 }
 
 // ModeAfter returns the mode in effect after applying rule's transition

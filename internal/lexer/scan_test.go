@@ -1,0 +1,359 @@
+package lexer
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"aspen/internal/core"
+)
+
+// munchSpec is the backtracking worst case for maximal munch: on a…a
+// with no b, every lexeme's lookahead for a+b runs to the end of input.
+func munchSpec() Spec {
+	return Spec{Name: "munch", Rules: []Rule{
+		{Name: "A", Pattern: "a"},
+		{Name: "AB", Pattern: "a+b"},
+	}}
+}
+
+// scanAll feeds input to a fresh scan in chunks of size chunk (0 =
+// whole) and finishes it, summing the stats.
+func scanAll(t testing.TB, l *Lexer, input []byte, chunk int) ([]Token, Stats, error) {
+	t.Helper()
+	var s Scan
+	if err := s.Reset(l, DefaultMode); err != nil {
+		t.Fatal(err)
+	}
+	if chunk <= 0 {
+		chunk = len(input) + 1
+	}
+	var toks []Token
+	var sum Stats
+	add := func(st Stats) {
+		sum.Bytes += st.Bytes
+		sum.Tokens += st.Tokens
+		sum.ScanCycles += st.ScanCycles
+		sum.HandoffCycles += st.HandoffCycles
+	}
+	for len(input) > 0 {
+		n := min(chunk, len(input))
+		var st Stats
+		var err error
+		toks, st, err = s.Feed(toks, input[:n])
+		add(st)
+		if err != nil {
+			return toks, sum, err
+		}
+		input = input[n:]
+	}
+	toks, st, err := s.Finish(toks)
+	add(st)
+	return toks, sum, err
+}
+
+// TestLinearMaximalMunch pins Reps' memoized backtracking: the
+// quadratic a…a input costs a constant number of scan cycles per byte,
+// whole or in 32 KiB chunks, on the DFA and on the NFA fallback.
+func TestLinearMaximalMunch(t *testing.T) {
+	for _, size := range []int{4 << 10, 32 << 10, 256 << 10} {
+		input := bytes.Repeat([]byte("a"), size)
+		for _, optimize := range []bool{true, false} {
+			if !optimize && size > 32<<10 {
+				continue // the NFA memo keys on active sets; keep it small
+			}
+			l, err := New(munchSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if optimize {
+				if err := l.Optimize(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, chunk := range []int{0, 32 << 10} {
+				toks, st, err := scanAll(t, l, input, chunk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(toks) != size || toks[size-1] != (Token{Rule: 0, Name: "A", Start: size - 1, End: size}) {
+					t.Fatalf("size %d: %d tokens, want %d single-a tokens", size, len(toks), size)
+				}
+				if per := float64(st.ScanCycles) / float64(size); per > 3 {
+					t.Errorf("size %d optimize=%v chunk %d: %.2f scan cycles/byte, want ≤ 3",
+						size, optimize, chunk, per)
+				}
+			}
+		}
+	}
+}
+
+// TestScanResumeRoundTrip saves the scan at every chunk boundary,
+// resumes a fresh scan from the image, and requires the continuation to
+// be identical to the uninterrupted scan — tokens, stats, errors — on
+// both runners, including states with a pending accept, kept bytes and
+// live memo entries.
+func TestScanResumeRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	inputs := [][]byte{
+		[]byte(`text <tag key="v" k2=""> more 123 abcab ifx <a b="open`),
+		[]byte("aaaaaaaaaaaaaaaaaaaaaaab aaaaaaaaaaa"),
+		[]byte("aaaac aaab aaaac aaa aaaaaaaaaac"),
+		bytes.Repeat([]byte("ab abc abd "), 20),
+	}
+	specs := []Spec{modalSpec(), modeMunchSpec(), {Name: "munch-ws", Rules: append(munchSpec().Rules,
+		Rule{Name: "WS", Pattern: " +", Skip: true}, Rule{Name: "ID", Pattern: "[a-z]+"})}}
+	for si, spec := range specs {
+		for _, optimize := range []bool{false, true} {
+			l, err := New(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if optimize {
+				if err := l.Optimize(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, in := range inputs {
+				want, wantSt, wantErr := scanAll(t, l, in, 0)
+				for trial := 0; trial < 20; trial++ {
+					var s Scan
+					if err := s.Reset(l, DefaultMode); err != nil {
+						t.Fatal(err)
+					}
+					var got []Token
+					var cycles int
+					var gotErr error
+					for pos := 0; pos < len(in) && gotErr == nil; {
+						n := min(1+r.Intn(9), len(in)-pos)
+						var st Stats
+						got, st, gotErr = s.Feed(got, in[pos:pos+n])
+						cycles += st.ScanCycles
+						pos += n
+						if gotErr != nil {
+							break
+						}
+						img := s.AppendBinary(nil)
+						var back Scan
+						if err := back.Resume(l, img, s.End()); err != nil {
+							t.Fatalf("spec %d optimize=%v: resume at %d: %v", si, optimize, pos, err)
+						}
+						if again := back.AppendBinary(nil); !bytes.Equal(again, img) {
+							t.Fatalf("spec %d optimize=%v: re-encoded image differs at %d", si, optimize, pos)
+						}
+						s = back
+					}
+					if gotErr == nil {
+						var st Stats
+						got, st, gotErr = s.Finish(got)
+						cycles += st.ScanCycles
+					}
+					if !reflect.DeepEqual(got, want) || (gotErr == nil) != (wantErr == nil) ||
+						(gotErr == nil && cycles != wantSt.ScanCycles) {
+						t.Fatalf("spec %d optimize=%v input %q: resumed scan diverged:\n got %v %d %v\nwant %v %d %v",
+							si, optimize, in, got, cycles, gotErr, want, wantSt.ScanCycles, wantErr)
+					}
+				}
+			}
+		}
+	}
+}
+
+// modeMunchSpec makes a failed lookahead's memo entries outlive a chunk
+// boundary: after A switches to mode w, the W lexeme runs on over the
+// positions main's lookahead failed at.
+func modeMunchSpec() Spec {
+	return Spec{Name: "munch-mode", Rules: []Rule{
+		{Name: "A", Pattern: "a", SetMode: "w"},
+		{Name: "AB", Pattern: "a+b"},
+		{Name: "WS", Pattern: " +", Skip: true},
+		{Name: "W", Pattern: "[a-z]+", Mode: "w", SetMode: DefaultMode},
+		{Name: "WWS", Pattern: " +", Mode: "w", Skip: true, SetMode: DefaultMode},
+	}}
+}
+
+// TestScanResumeRejectsDamage flips every bit of saved scans — one
+// with live memo entries, one with kept bytes — and truncates them at
+// every length: Resume either refuses the image or yields a scan that
+// runs to completion without panicking. A damaged state must never
+// index outside the lexer's tables.
+func TestScanResumeRejectsDamage(t *testing.T) {
+	cases := []struct {
+		spec    Spec
+		in      string
+		memo    bool
+		keptLen int
+	}{
+		{modeMunchSpec(), "aaaac", true, 0},
+		{munchSpec(), "aaa", false, 2},
+	}
+	for _, c := range cases {
+		for _, optimize := range []bool{false, true} {
+			l, err := New(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if optimize {
+				if err := l.Optimize(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var s Scan
+			if err := s.Reset(l, DefaultMode); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.Feed(nil, []byte(c.in)); err != nil {
+				t.Fatal(err)
+			}
+			if (len(s.memo) > 0) != c.memo || len(s.kept) != c.keptLen {
+				t.Fatalf("%s optimize=%v: scan holds %d memo entries and %d kept bytes, want memo=%v kept=%d",
+					c.spec.Name, optimize, len(s.memo), len(s.kept), c.memo, c.keptLen)
+			}
+			img := s.AppendBinary(nil)
+			try := func(data []byte) {
+				var back Scan
+				if back.Resume(l, data, s.End()) != nil {
+					return
+				}
+				toks, _, err := back.Feed(nil, []byte("ab a"))
+				if err == nil {
+					_, _, _ = back.Finish(toks)
+				}
+			}
+			for i := range img {
+				for bit := 0; bit < 8; bit++ {
+					mut := append([]byte(nil), img...)
+					mut[i] ^= 1 << bit
+					try(mut)
+				}
+			}
+			for cut := 0; cut < len(img); cut++ {
+				if err := new(Scan).Resume(l, img[:cut], s.End()); err == nil {
+					t.Fatalf("%s optimize=%v: truncation at %d accepted", c.spec.Name, optimize, cut)
+				}
+			}
+		}
+	}
+}
+
+// The fingerprint is a pure function of the compiled tables: equal for
+// two compilations of one spec, different when a rule changes or when
+// a mode switches between NFA and DFA.
+func TestFingerprint(t *testing.T) {
+	mk := func(spec Spec, optimize bool) uint64 {
+		l, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if optimize {
+			if err := l.Optimize(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return l.Fingerprint()
+	}
+	if mk(modalSpec(), true) != mk(modalSpec(), true) || mk(modalSpec(), false) != mk(modalSpec(), false) {
+		t.Fatal("fingerprint differs between two compilations of one spec")
+	}
+	if mk(modalSpec(), true) == mk(modalSpec(), false) {
+		t.Fatal("fingerprint ignores determinization")
+	}
+	other := modalSpec()
+	other.Rules[4].Pattern = `[a-z][a-z0-9_]*`
+	if mk(other, true) == mk(modalSpec(), true) {
+		t.Fatal("fingerprint ignores a changed pattern")
+	}
+}
+
+// naiveTokenize is the reference maximal munch with no memo: every
+// lexeme runs a fresh NFA to exhaustion or end of input and backtracks
+// to its longest accept.
+func naiveTokenize(l *Lexer, input []byte) ([]Token, error) {
+	var toks []Token
+	mode := l.modes[DefaultMode]
+	for pos := 0; pos < len(input); {
+		r := mode.n.NewRun()
+		best, rule := -1, -1
+		for i := pos; i < len(input); i++ {
+			alive, rep := r.Step(core.Symbol(input[i]))
+			if rep >= 0 {
+				best, rule = i+1, mode.rules[rep]
+			}
+			if !alive {
+				break
+			}
+		}
+		if best < 0 {
+			return toks, &Error{Spec: l.spec.Name, Pos: pos, Byte: input[pos], Mode: mode.name}
+		}
+		if r := l.spec.Rules[rule]; !r.Skip {
+			toks = append(toks, Token{Rule: rule, Name: r.Name, Start: pos, End: best})
+		}
+		if next := l.next[rule]; next != nil {
+			mode = next
+		}
+		pos = best
+	}
+	return toks, nil
+}
+
+// TestMemoMatchesNaiveMunch checks the failure memo against the
+// memo-free reference on inputs dense in failed multi-byte lookaheads,
+// across modes: whole and chunked scans on both runners must emit the
+// reference's tokens and error, and the four scans must agree on scan
+// cycles.
+func TestMemoMatchesNaiveMunch(t *testing.T) {
+	spec := Spec{Name: "memo", Rules: []Rule{
+		{Name: "A", Pattern: "a"},
+		{Name: "AB", Pattern: "a+b"},
+		{Name: "ABC", Pattern: "(ab)+c"},
+		{Name: "X", Pattern: "x"},
+		{Name: "XYZ", Pattern: "xy*z"},
+		{Name: "Y", Pattern: "[bcyz>]"},
+		{Name: "WS", Pattern: " +", Skip: true},
+		{Name: "LT", Pattern: "<", SetMode: "tag"},
+		{Name: "T", Pattern: "a", Mode: "tag"},
+		{Name: "TAB", Pattern: "(a|b)+c", Mode: "tag"},
+		{Name: "TY", Pattern: "[bcxyz <]", Mode: "tag"},
+		{Name: "GT", Pattern: ">", Mode: "tag", SetMode: DefaultMode},
+	}}
+	plain, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fast.Optimize(); err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(7))
+	const alphabet = "aaaabbcxyyyz <>" // every byte lexes in both modes
+	for trial := 0; trial < 2000; trial++ {
+		in := make([]byte, r.Intn(80))
+		for i := range in {
+			in[i] = alphabet[r.Intn(len(alphabet))]
+		}
+		if len(in) > 0 && trial%8 == 0 {
+			in[r.Intn(len(in))] = '!' // a lex error
+		}
+		want, wantErr := naiveTokenize(plain, in)
+		cycles := -1
+		for _, l := range []*Lexer{plain, fast} {
+			for _, chunk := range []int{0, 1 + r.Intn(9)} {
+				got, st, err := scanAll(t, l, in, chunk)
+				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(err, wantErr) {
+					t.Fatalf("input %q chunk %d: got %v %v, want %v %v", in, chunk, got, err, want, wantErr)
+				}
+				if cycles >= 0 && err == nil && st.ScanCycles != cycles {
+					t.Fatalf("input %q chunk %d: %d scan cycles, another scan took %d", in, chunk, st.ScanCycles, cycles)
+				}
+				if err == nil {
+					cycles = st.ScanCycles
+				}
+			}
+		}
+	}
+}

@@ -125,14 +125,21 @@ func (n *NFA) Determinize() (*DFA, error) {
 		return out
 	}
 
-	// BFS over subsets, filling the dense table.
+	// BFS over subsets, filling the dense table. Symbols are visited in
+	// order so state numbering is deterministic: a lexer scan's saved
+	// DFA state must mean the same thing after a restart.
 	d.Trans = append(d.Trans, make([]int32, 256)...)
 	for i := range d.Trans {
 		d.Trans[i] = -1
 	}
 	for si := 0; si < len(subsets); si++ {
 		succ := successorsOf(subsets[si], si == 0)
-		for sym, set := range succ {
+		for c := 0; c < 256; c++ {
+			sym := core.Symbol(c)
+			set, ok := succ[sym]
+			if !ok {
+				continue
+			}
 			id, err := addState(set)
 			if err != nil {
 				return nil, err

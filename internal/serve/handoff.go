@@ -33,8 +33,11 @@ type HandoffResponse struct {
 }
 
 // maxHandoffBytes caps one shipped checkpoint image. Images embed the
-// machine snapshot plus the untokenized tail; far below this in
-// practice.
+// machine snapshot plus the lexer's scan state, which keeps only the
+// bytes after the pending lexeme's last accept: tens of bytes for the
+// built-in grammars whatever the lexeme's length. Only a lexer whose
+// lookahead can run on without accepting keeps more, and never more
+// than the body cap, which this matches.
 const maxHandoffBytes = 64 << 20
 
 // handoffSession resolves the common preconditions of both handoff
@@ -91,7 +94,7 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Aspen-Session-Bytes", strconv.Itoa(cp.Offset+len(cp.Tail)))
+	w.Header().Set("X-Aspen-Session-Bytes", strconv.Itoa(cp.End))
 	w.Header().Set("X-Aspen-Machine", telemetry.TraceIDString(cp.Machine))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(data)
@@ -147,7 +150,13 @@ func (s *Server) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 			Error: "uploaded checkpoint image failed its integrity seals (torn or corrupt; not stored)"})
 		return
 	}
-	if mfp := g.cm.Machine.Fingerprint(); cp.Machine != mfp {
+	lx, err := g.lang.Lexer()
+	if err != nil {
+		g.m.errors.Inc()
+		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+		return
+	}
+	if cp.Machine != g.cm.Machine.Fingerprint() || cp.Lexer != lx.Fingerprint() {
 		writeJSON(w, http.StatusGone, ErrorResponse{
 			Error: "session " + r.PathValue("id") + " cannot resume on this node's " + g.name +
 				" build: " + stream.ErrMachineMismatch.Error()})
@@ -161,7 +170,7 @@ func (s *Server) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, HandoffResponse{
 		Grammar: g.name,
 		Session: r.PathValue("id"),
-		Bytes:   cp.Offset + len(cp.Tail),
+		Bytes:   cp.End,
 		Tokens:  cp.Tokens,
 	})
 }

@@ -2,14 +2,19 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"aspen/internal/lang"
 	"aspen/internal/store"
+	"aspen/internal/stream"
 )
 
 // newHandoffServer boots a durable single- or multi-grammar server for
@@ -335,5 +340,111 @@ func TestSessionCheckpointDelete(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !pr.Accepted || pr.Bytes != len(doc) {
 		t.Fatalf("post-delete restart: status %d accepted %v bytes %d want %d", resp.StatusCode, pr.Accepted, pr.Bytes, len(doc))
+	}
+}
+
+// asc2Image hand-builds a session image in the retired "ASC2" layout —
+// the one that carried the untokenized tail instead of the lexer's scan
+// state — around cp's machine snapshot, sealed the way that layout was.
+func asc2Image(t *testing.T, cp *stream.Checkpoint, tail []byte) []byte {
+	t.Helper()
+	exec, err := cp.Exec.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := uint64(0xcbf29ce484222325)
+	fold := func(b byte) { h = (h ^ uint64(b)) * 0x100000001b3 }
+	word := func(v int) {
+		for i := 0; i < 8; i++ {
+			fold(byte(uint64(int64(v)) >> (8 * i)))
+		}
+	}
+	mode, offset := "main", cp.End-len(tail)
+	fields := []int{offset, cp.Tokens, cp.LexStats.Bytes, cp.LexStats.Tokens,
+		cp.LexStats.ScanCycles, cp.LexStats.HandoffCycles, 0, cp.JamPos}
+	word(int(cp.Exec.Digest))
+	word(len(mode))
+	for i := range mode {
+		fold(mode[i])
+	}
+	word(len(tail))
+	for _, b := range tail {
+		fold(b)
+	}
+	for i, v := range fields {
+		if i == 6 {
+			fold(0) // jammed = false
+			continue
+		}
+		word(v)
+	}
+	word(int(cp.Machine))
+
+	out := []byte("ASC2")
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(exec)))
+	out = append(out, exec...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(mode)))
+	out = append(out, mode...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(tail)))
+	out = append(out, tail...)
+	for _, v := range fields {
+		out = binary.LittleEndian.AppendUint64(out, uint64(int64(v)))
+	}
+	out = binary.LittleEndian.AppendUint64(out, cp.Machine)
+	return binary.LittleEndian.AppendUint64(out, h)
+}
+
+// TestSessionRefusesASC2Image pins that an image in the retired layout
+// is refused, never misread: stored under a session it fails the
+// checkpoint store's Load, so resuming answers 410 Gone; shipped through
+// the handoff path, SaveBytes refuses it and the PUT answers 422.
+func TestSessionRefusesASC2Image(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	s, ts := newTestServer(t, Options{Languages: []*lang.Language{lang.JSON()}, Store: st})
+	doc := []byte(`{"k": [1, "two", 3]}`)
+	const cut = 13 // mid-string: the ASC2 tail would have been `"tw`
+	resp, err := http.Post(ts.URL+"/v1/parse/JSON?session=old", "application/octet-stream", bytes.NewReader(doc[:cut]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	var cp stream.Checkpoint
+	if err := st.Checkpoints.Load("sess-JSON-old", &cp); err != nil {
+		t.Fatal(err)
+	}
+	img := asc2Image(t, &cp, doc[10:cut])
+
+	path := filepath.Join(dir, "checkpoints", "sess-JSON-old.ckpt")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Checkpoints.Load("sess-JSON-old", &cp); !errors.Is(err, store.ErrCheckpointCorrupt) {
+		t.Fatalf("Load of an ASC2 image: %v, want ErrCheckpointCorrupt", err)
+	}
+	resp, err = http.Post(ts.URL+"/v1/parse/JSON?session=old&final=1", "application/octet-stream", bytes.NewReader(doc[cut:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGone {
+		t.Fatalf("resume from an ASC2 image: status %d, want 410", resp.StatusCode)
+	}
+	if got := s.Registry().Snapshot().Counters["checkpoint_store_corrupt_total"]; got != 1 {
+		t.Fatalf("checkpoint_store_corrupt_total = %d, want 1", got)
+	}
+
+	if err := st.Checkpoints.SaveBytes("sess-JSON-shipped", img); !errors.Is(err, store.ErrCheckpointCorrupt) {
+		t.Fatalf("SaveBytes of an ASC2 image: %v, want ErrCheckpointCorrupt", err)
+	}
+	if got := putImage(t, ts, "JSON", "shipped", img).StatusCode; got != http.StatusUnprocessableEntity {
+		t.Fatalf("PUT of an ASC2 image: status %d, want 422", got)
+	}
+	if keys, _ := st.Checkpoints.Keys(); len(keys) != 0 {
+		t.Fatalf("refused ASC2 images left stored checkpoints: %v", keys)
 	}
 }

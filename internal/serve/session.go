@@ -177,7 +177,7 @@ pump:
 			Grammar: g.name,
 			Session: id,
 			Partial: true,
-			Bytes:   cp.Offset + len(cp.Tail),
+			Bytes:   cp.End,
 			Tokens:  cp.Tokens,
 			QueueNS: queueNS,
 			ParseNS: time.Since(start).Nanoseconds() - queueNS,

@@ -9,8 +9,10 @@ import (
 )
 
 // Checkpoint is a resumable snapshot of a streaming parse: the
-// machine-level core.Checkpoint plus the lexer boundary state (mode,
-// untokenized tail, stream offset) and the parser's own counters.
+// machine-level core.Checkpoint plus the lexer's run (lexer.Scan's
+// binary form) and end-of-stream offset, and the parser's own counters.
+// Its size does not grow with the pending lexeme: the scan keeps only
+// the bytes after the lexeme's last accept.
 // Restoring it and re-writing the same byte stream from the checkpoint
 // onward reproduces the uninterrupted parse exactly
 // (TestStreamCheckpointReplay) — the property the serving layer's
@@ -25,9 +27,11 @@ import (
 type Checkpoint struct {
 	Exec core.Checkpoint
 
-	Mode     string
-	Tail     []byte
-	Offset   int
+	// Scan is the lexer run, as lexer.Scan.AppendBinary writes it.
+	Scan []byte
+	// End is the stream offset the snapshot was taken at: every byte
+	// written so far.
+	End      int
 	Tokens   int
 	LexStats lexer.Stats
 	Jammed   bool
@@ -42,6 +46,12 @@ type Checkpoint struct {
 	// (TestCompileDeterministic), so a restart that recompiles the same
 	// grammar reproduces the same fingerprint and resumes cleanly.
 	Machine uint64
+
+	// Lexer is the lexer.Fingerprint of the lexer that took the
+	// snapshot. Scan holds raw DFA state IDs or NFA active sets, so
+	// Restore refuses a different lexer build with ErrMachineMismatch
+	// too.
+	Lexer uint64
 
 	// Digest is the stream-level FNV-1a seal, written by
 	// Parser.Checkpoint (or Seal) and verified by Parser.Restore.
@@ -69,15 +79,11 @@ func (h *streamFNV) bool(b bool) {
 func (cp *Checkpoint) computeDigest() uint64 {
 	h := streamFNV(0xcbf29ce484222325)
 	h.int(int(cp.Exec.Digest))
-	h.int(len(cp.Mode))
-	for i := 0; i < len(cp.Mode); i++ {
-		h.byte(cp.Mode[i])
-	}
-	h.int(len(cp.Tail))
-	for _, b := range cp.Tail {
+	h.int(len(cp.Scan))
+	for _, b := range cp.Scan {
 		h.byte(b)
 	}
-	h.int(cp.Offset)
+	h.int(cp.End)
 	h.int(cp.Tokens)
 	h.int(cp.LexStats.Bytes)
 	h.int(cp.LexStats.Tokens)
@@ -86,6 +92,7 @@ func (cp *Checkpoint) computeDigest() uint64 {
 	h.bool(cp.Jammed)
 	h.int(cp.JamPos)
 	h.int(int(cp.Machine))
+	h.int(int(cp.Lexer))
 	return uint64(h)
 }
 
@@ -103,19 +110,19 @@ func (cp *Checkpoint) Verify() bool { return cp.Digest == cp.computeDigest() }
 // only takes them on clean boundaries.
 func (p *Parser) Checkpoint(cp *Checkpoint) {
 	p.exec.Checkpoint(&cp.Exec)
-	cp.Mode = p.mode
-	cp.Tail = append(cp.Tail[:0], p.tail...)
-	cp.Offset = p.offset
+	cp.Scan = p.scan.AppendBinary(cp.Scan[:0])
+	cp.End = p.scan.End()
 	cp.Tokens = p.tokens
 	cp.LexStats = p.lexStats
 	cp.Jammed = p.jammed
 	cp.JamPos = p.jamPos
 	cp.Machine = p.mfp
+	cp.Lexer = p.lx.Fingerprint()
 	cp.Seal()
 }
 
-// ErrMachineMismatch reports a restore attempted on a machine build
-// other than the one that took the snapshot.
+// ErrMachineMismatch reports a restore attempted on a machine or lexer
+// build other than the one that took the snapshot.
 var ErrMachineMismatch = errors.New("stream: checkpoint was taken on a different machine build")
 
 // Restore rewinds the parser to cp, clearing any error or close mark
@@ -134,12 +141,16 @@ func (p *Parser) Restore(cp *Checkpoint) error {
 	if cp.Machine != p.mfp {
 		return fmt.Errorf("%w (snapshot %016x, this build %016x)", ErrMachineMismatch, cp.Machine, p.mfp)
 	}
+	if lfp := p.lx.Fingerprint(); cp.Lexer != lfp {
+		return fmt.Errorf("%w (lexer snapshot %016x, this build %016x)", ErrMachineMismatch, cp.Lexer, lfp)
+	}
+	if err := p.spare.Resume(p.lx, cp.Scan, cp.End); err != nil {
+		return fmt.Errorf("stream: %w: %v", core.ErrCheckpointCorrupt, err)
+	}
 	if err := p.exec.Restore(&cp.Exec); err != nil {
 		return fmt.Errorf("stream: %w", err)
 	}
-	p.mode = cp.Mode
-	p.tail = append(p.tail[:0], cp.Tail...)
-	p.offset = cp.Offset
+	p.scan, p.spare = p.spare, p.scan
 	p.tokens = cp.Tokens
 	p.lexStats = cp.LexStats
 	p.jammed = cp.Jammed

@@ -12,12 +12,19 @@ import (
 // parse session survives a daemon crash — travels as a fixed-layout
 // little-endian record wrapping the core checkpoint's own encoding:
 //
-//	magic "ASC2" | exec len u32 | exec blob (core codec) | mode | tail |
-//	offset | tokens | lex stats ×4 | jammed | jam pos | Machine | Digest
+//	magic "ASC3" | exec len u32 | exec blob (core codec) | scan len u32 |
+//	scan (lexer.Scan's encoding) | end | tokens | lex stats ×4 | jammed |
+//	jam pos | Machine | Lexer | Digest
 //
-// Both integrity seals ride along (the core blob carries Exec.Digest,
-// the outer record carries the stream-level Digest), so the loading
-// side verifies the snapshot survived storage before resuming from it.
+// The scan section holds the lexer run: mode, run configuration, the
+// pending lexeme's start and last accept, the bytes after that accept,
+// and the failure memo — tens of bytes in the common case, however long
+// the pending lexeme. An "ASC2" image (the earlier layout, which
+// carried the whole untokenized tail) has no scan state to resume from
+// and is refused as malformed. Both integrity seals ride along (the
+// core blob carries Exec.Digest, the outer record carries the
+// stream-level Digest), so the loading side verifies the snapshot
+// survived storage before resuming from it.
 // Decoding never panics on arbitrary input, and a record that parses
 // but does not re-encode to the same bytes is rejected as damaged.
 
@@ -26,7 +33,7 @@ import (
 // Restore reports that as core.ErrCheckpointCorrupt).
 var ErrCheckpointEncoding = errors.New("stream: malformed checkpoint encoding")
 
-const checkpointMagic = "ASC2"
+const checkpointMagic = "ASC3"
 
 // maxCheckpointSection bounds one variable-length section so a garbage
 // length field cannot drive a huge allocation on decode.
@@ -39,16 +46,14 @@ func (cp *Checkpoint) MarshalBinary() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, 4+4+len(exec)+4+len(cp.Mode)+4+len(cp.Tail)+8*9)
+	out := make([]byte, 0, 4+4+len(exec)+4+len(cp.Scan)+8*10)
 	out = append(out, checkpointMagic...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(exec)))
 	out = append(out, exec...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(cp.Mode)))
-	out = append(out, cp.Mode...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(cp.Tail)))
-	out = append(out, cp.Tail...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(cp.Scan)))
+	out = append(out, cp.Scan...)
 	put := func(v int) { out = binary.LittleEndian.AppendUint64(out, uint64(int64(v))) }
-	put(cp.Offset)
+	put(cp.End)
 	put(cp.Tokens)
 	put(cp.LexStats.Bytes)
 	put(cp.LexStats.Tokens)
@@ -61,6 +66,7 @@ func (cp *Checkpoint) MarshalBinary() ([]byte, error) {
 	}
 	put(cp.JamPos)
 	out = binary.LittleEndian.AppendUint64(out, cp.Machine)
+	out = binary.LittleEndian.AppendUint64(out, cp.Lexer)
 	out = binary.LittleEndian.AppendUint64(out, cp.Digest)
 	return out, nil
 }
@@ -107,14 +113,9 @@ func (cp *Checkpoint) UnmarshalBinary(data []byte) error {
 	if n, err = takeLen(); err != nil {
 		return err
 	}
-	cp.Mode = string(data[:n])
+	cp.Scan = append(cp.Scan[:0], data[:n]...)
 	data = data[n:]
-	if n, err = takeLen(); err != nil {
-		return err
-	}
-	cp.Tail = append(cp.Tail[:0], data[:n]...)
-	data = data[n:]
-	if err := take(&cp.Offset); err != nil {
+	if err := take(&cp.End); err != nil {
 		return err
 	}
 	if err := take(&cp.Tokens); err != nil {
@@ -143,12 +144,13 @@ func (cp *Checkpoint) UnmarshalBinary(data []byte) error {
 	if err := take(&cp.JamPos); err != nil {
 		return err
 	}
-	if len(data) < 16 {
-		return fmt.Errorf("%w: truncated fingerprint/digest", ErrCheckpointEncoding)
+	if len(data) < 24 {
+		return fmt.Errorf("%w: truncated fingerprints/digest", ErrCheckpointEncoding)
 	}
 	cp.Machine = binary.LittleEndian.Uint64(data)
-	cp.Digest = binary.LittleEndian.Uint64(data[8:])
-	data = data[16:]
+	cp.Lexer = binary.LittleEndian.Uint64(data[8:])
+	cp.Digest = binary.LittleEndian.Uint64(data[16:])
+	data = data[24:]
 	if len(data) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrCheckpointEncoding, len(data))
 	}

@@ -9,6 +9,7 @@ import (
 	"aspen/internal/compile"
 	"aspen/internal/core"
 	"aspen/internal/lang"
+	"aspen/internal/lexer"
 	"aspen/internal/telemetry"
 )
 
@@ -122,10 +123,8 @@ func TestStreamCheckpointReplay(t *testing.T) {
 			}
 
 			// Coalesced replay (one Write for all remaining bytes — what
-			// the serving layer's replay buffer does): every
-			// chunking-invariant field must still match. Lexer ScanCycles
-			// legitimately differ because the unconsumed tail is
-			// re-scanned per Write.
+			// the serving layer's replay buffer does): the Outcome is
+			// chunking-invariant, lexer statistics included.
 			if err := p.Restore(&cp); err != nil {
 				t.Fatalf("%s: coalesced restore rejected: %v", l.Name, err)
 			}
@@ -136,8 +135,7 @@ func TestStreamCheckpointReplay(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: coalesced replay close: %v", l.Name, err)
 			}
-			if got2.Accepted != want.Accepted || got2.Tokens != want.Tokens ||
-				got2.Bytes != want.Bytes || !reflect.DeepEqual(got2.Result, want.Result) {
+			if !reflect.DeepEqual(got2, want) {
 				t.Fatalf("%s: coalesced replay diverged:\n got %+v\nwant %+v", l.Name, got2, want)
 			}
 		}
@@ -273,5 +271,60 @@ func TestStreamCheckpointDigestRejectsTamper(t *testing.T) {
 	out, err := p.Close()
 	if err != nil || !out.Accepted {
 		t.Fatalf("parse after refused restores: out=%+v err=%v", out, err)
+	}
+}
+
+// TestStreamRestoreRefusesOtherLexer pins the lexer fingerprint: an
+// image restored into a parser whose lexer spec differs — same grammar,
+// so the same machine — is refused with ErrMachineMismatch, because the
+// saved run configuration names states of the other lexer's tables.
+func TestStreamRestoreRefusesOtherLexer(t *testing.T) {
+	l := lang.JSON()
+	cm, err := l.Compile(compile.OptAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := lang.JSON()
+	other.LexSpec.Rules = append([]lexer.Rule(nil), other.LexSpec.Rules...)
+	for i, r := range other.LexSpec.Rules {
+		if r.Name == "WS" {
+			other.LexSpec.Rules[i].Pattern = `[ \t\n]+`
+		}
+	}
+	ocm, err := other.Compile(compile.OptAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cm.Machine.Fingerprint() != ocm.Machine.Fingerprint() {
+		t.Fatal("the variant lexer changed the grammar machine")
+	}
+
+	p, err := NewParser(l, cm, core.ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Write([]byte(`{"k": [1, "two`)); err != nil {
+		t.Fatal(err)
+	}
+	var cp Checkpoint
+	p.Checkpoint(&cp)
+	img, err := cp.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loaded Checkpoint
+	if err := loaded.UnmarshalBinary(img); err != nil {
+		t.Fatal(err)
+	}
+	q, err := NewParser(other, ocm, core.ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Restore(&loaded); !errors.Is(err, ErrMachineMismatch) {
+		t.Fatalf("restore into a different lexer: %v, want ErrMachineMismatch", err)
+	}
+	// The same image still resumes on its own lexer.
+	if err := p.Restore(&loaded); err != nil {
+		t.Fatalf("restore into the original lexer: %v", err)
 	}
 }

@@ -2,9 +2,8 @@
 // operating regime the paper targets ("processing MBs to GBs of input
 // symbols", §IV-B), where the input is streamed through the memory-mapped
 // input buffers rather than presented at once. The Parser accepts byte
-// chunks of any size, carries the lexer's longest-match boundary state
-// and the hDPDA execution across chunks, and produces identical results
-// to whole-input parsing.
+// chunks of any size, carries the lexer's run and the hDPDA execution
+// across chunks, and produces identical results to whole-input parsing.
 package stream
 
 import (
@@ -57,10 +56,9 @@ type Parser struct {
 	ruleCodes []int16
 	codes     []core.Symbol // per-chunk code scratch for the Runner path
 
-	mode   string
-	tail   []byte        // bytes not yet safely tokenized
-	toks   []lexer.Token // per-chunk token scratch, reused across Writes
-	offset int           // stream offset of tail[0]
+	scan  lexer.Scan    // the lexer run, resumed by every Write
+	spare lexer.Scan    // Restore decodes here before swapping in
+	toks  []lexer.Token // per-chunk token scratch, reused across Writes
 
 	tokens   int
 	lexStats lexer.Stats
@@ -167,13 +165,16 @@ func NewParserBackend(l *lang.Language, cm *compile.Compiled, b Backend) (*Parse
 			rc[i] = int16(code)
 		}
 	}
-	return &Parser{
+	p := &Parser{
 		l: l, cm: cm, lx: lx,
 		exec:      b,
 		ruleCodes: rc,
 		mfp:       cm.Machine.Fingerprint(),
-		mode:      lexer.DefaultMode,
-	}, nil
+	}
+	if err := p.scan.Reset(lx, lexer.DefaultMode); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // SetRunner installs a bulk feed hook: each chunk's token codes are
@@ -198,17 +199,15 @@ func (p *Parser) Execution() *core.Execution {
 // Reset rewinds the parser to its initial configuration — start state,
 // empty stack, default lexer mode, zeroed counters — without touching
 // the compiled machine or the lexer, so a pooled parser is reused
-// across requests with zero compile work. Grown buffers (input tail,
-// token scratch, execution stack) keep their capacity; after a warm-up
-// run the reset parser's steady-state path allocates nothing. A reset
-// parser is equivalent to a freshly constructed one (asserted by
-// TestResetEquivalence). Telemetry routing survives the reset; the
-// registry totals keep accumulating across reuses.
+// across requests with zero compile work. Grown buffers (the lexer's
+// kept bytes, token scratch, execution stack) keep their capacity;
+// after a warm-up run the reset parser's steady-state path allocates
+// nothing. A reset parser is equivalent to a freshly constructed one
+// (asserted by TestResetEquivalence). Telemetry routing survives the
+// reset; the registry totals keep accumulating across reuses.
 func (p *Parser) Reset() {
 	p.exec.Reset()
-	p.mode = lexer.DefaultMode
-	p.tail = p.tail[:0]
-	p.offset = 0
+	_ = p.scan.Reset(p.lx, lexer.DefaultMode) // the mode always exists
 	p.tokens = 0
 	p.lexStats = lexer.Stats{}
 	p.jammed = false
@@ -234,21 +233,17 @@ func (p *Parser) Write(chunk []byte) (int, error) {
 		p.tm.bytes.Add(int64(len(chunk)))
 		p.tm.lastChunkBytes.SetInt(int64(len(chunk)))
 	}
-	p.tail = append(p.tail, chunk...)
-	toks, consumed, mode, stats, err := p.lx.TokenizeChunkInto(p.toks[:0], p.tail, p.mode)
+	toks, stats, err := p.scan.Feed(p.toks[:0], chunk)
 	p.toks = toks
 	p.accumulate(stats)
 	if err != nil {
-		p.err = p.locate(err)
+		p.err = err
 		return 0, p.err
 	}
-	if ferr := p.feed(toks, p.tail); ferr != nil {
+	if ferr := p.feed(toks); ferr != nil {
 		p.err = ferr
 		return 0, p.err
 	}
-	p.mode = mode
-	p.offset += consumed
-	p.tail = append(p.tail[:0], p.tail[consumed:]...)
 	if p.tm != nil {
 		p.sync()
 	}
@@ -265,20 +260,18 @@ func (p *Parser) Close() (Outcome, error) {
 		return p.outcome(), fmt.Errorf("stream: double Close")
 	}
 	p.closed = true
-	// Final tokenization: end-of-stream semantics.
-	toks, stats, _, err := p.lx.TokenizeResumeInto(p.toks[:0], p.tail, p.mode)
+	// The pending lexeme resolves with end-of-stream semantics.
+	toks, stats, err := p.scan.Finish(p.toks[:0])
 	p.toks = toks
 	p.accumulate(stats)
 	if err != nil {
-		p.err = p.locate(err)
+		p.err = err
 		return p.outcome(), p.err
 	}
-	if ferr := p.feed(toks, p.tail); ferr != nil {
+	if ferr := p.feed(toks); ferr != nil {
 		p.err = ferr
 		return p.outcome(), p.err
 	}
-	p.offset += len(p.tail)
-	p.tail = nil
 	// Endmarker + trailing ε-moves.
 	if !p.jammed {
 		if _, err := p.exec.DrainEpsilon(); err != nil {
@@ -292,7 +285,7 @@ func (p *Parser) Close() (Outcome, error) {
 		}
 		if !ok {
 			p.jammed = true
-			p.jamPos = p.offset
+			p.jamPos = p.scan.End()
 		} else if _, err := p.exec.DrainEpsilon(); err != nil {
 			p.err = err
 			return p.outcome(), err
@@ -305,7 +298,7 @@ func (p *Parser) Close() (Outcome, error) {
 }
 
 // feed pushes tokens through the machine.
-func (p *Parser) feed(toks []lexer.Token, buf []byte) error {
+func (p *Parser) feed(toks []lexer.Token) error {
 	if p.jammed {
 		return nil
 	}
@@ -327,7 +320,7 @@ func (p *Parser) feed(toks []lexer.Token, buf []byte) error {
 		p.tokens++
 		if !fed {
 			p.jammed = true
-			p.jamPos = p.offset + tk.Start
+			p.jamPos = tk.Start
 			return nil
 		}
 	}
@@ -376,7 +369,7 @@ func (p *Parser) feedBulk(toks []lexer.Token) error {
 	if jammed {
 		p.tokens++
 		p.jammed = true
-		p.jamPos = p.offset + toks[fed].Start
+		p.jamPos = toks[fed].Start
 		return nil
 	}
 	if bad >= 0 {
@@ -394,20 +387,11 @@ func (p *Parser) accumulate(s lexer.Stats) {
 	}
 }
 
-// locate rebases a lexer error position to the absolute stream offset.
-func (p *Parser) locate(err error) error {
-	if le, ok := err.(*lexer.Error); ok {
-		le.Pos += p.offset
-		return le
-	}
-	return err
-}
-
 func (p *Parser) outcome() Outcome {
 	res := p.exec.Result()
 	res.Jammed = p.jammed
 	res.Accepted = p.closed && !p.jammed && p.err == nil && p.exec.InAccept()
-	p.lexStats.Bytes = p.offset + len(p.tail)
+	p.lexStats.Bytes = p.scan.End()
 	return Outcome{
 		Accepted: res.Accepted,
 		Tokens:   p.tokens,

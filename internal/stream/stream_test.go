@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"aspen/internal/compile"
@@ -193,5 +194,65 @@ func TestEmptyStream(t *testing.T) {
 	}
 	if out.Accepted {
 		t.Error("empty stream is not valid JSON")
+	}
+}
+
+// TestStreamLongLexemeLinear is the streaming re-scan gate: a 4 MiB JSON
+// string — unterminated, then terminated — written in 32 KiB chunks
+// (the serving layer's copy buffer) costs exactly what one whole Write
+// costs: the same tokens, verdict and scan cycles, at most one scan
+// cycle per byte plus one per token. Every checkpoint image taken at a
+// chunk boundary stays under 4 KiB however long the pending lexeme is,
+// because the lexer keeps no byte of a string that has not accepted.
+func TestStreamLongLexemeLinear(t *testing.T) {
+	l := lang.JSON()
+	cm, err := l.Compile(compile.OptAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Repeat([]byte("QUJDRGVmZ2hpams0NTY3ODkr/w=="), (4<<20)/28)
+	docs := map[string][]byte{
+		"unterminated": append([]byte(`"`), body...),
+		"terminated":   append(append([]byte(`"`), body...), '"'),
+	}
+	for name, doc := range docs {
+		run := func(chunk int) (Outcome, error) {
+			p, err := NewParser(l, cm, core.ExecOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cp Checkpoint
+			for rest := doc; len(rest) > 0; {
+				n := min(chunk, len(rest))
+				if _, err := p.Write(rest[:n]); err != nil {
+					return p.outcome(), err
+				}
+				rest = rest[n:]
+				if len(rest) == 0 {
+					break
+				}
+				p.Checkpoint(&cp)
+				img, err := cp.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(img) >= 4<<10 {
+					t.Fatalf("%s: checkpoint image at offset %d is %d bytes, want < 4 KiB", name, cp.End, len(img))
+				}
+			}
+			return p.Close()
+		}
+		whole, werr := run(len(doc))
+		chunked, cerr := run(32 << 10)
+		if !errsMatch(werr, cerr) || !reflect.DeepEqual(whole, chunked) {
+			t.Fatalf("%s: chunked diverged from whole:\n got %+v (%v)\nwant %+v (%v)", name, chunked, cerr, whole, werr)
+		}
+		if (name == "terminated") != (werr == nil && whole.Accepted) {
+			t.Fatalf("%s: verdict accepted=%v err=%v", name, whole.Accepted, werr)
+		}
+		if limit := len(doc) + whole.LexStats.Tokens + 1; whole.LexStats.ScanCycles > limit {
+			t.Fatalf("%s: %d scan cycles for %d bytes and %d tokens, want ≤ %d",
+				name, whole.LexStats.ScanCycles, len(doc), whole.LexStats.Tokens, limit)
+		}
 	}
 }
