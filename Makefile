@@ -45,9 +45,9 @@ overload-smoke:
 
 # Short coverage-guided runs of every native fuzz target: streaming
 # equivalence (chunk-boundary lexing, chunked-vs-whole parsing), the
-# software-parser differential, the XML pipeline, checkpoint
-# serialize/restore round-tripping, and the registry journal record
-# codec. Checked-in seed corpora run on plain `go test`; this explores
+# software-parser differential, the XML pipeline, the JSON language
+# against encoding/json, checkpoint serialize/restore round-tripping,
+# and the registry journal record codec. Checked-in seed corpora run on plain `go test`; this explores
 # beyond them. Bump FUZZTIME for a real session. Go allows one -fuzz
 # pattern per invocation, hence one line per target.
 FUZZTIME ?= 5s
@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStreamChunkedVsWhole -fuzztime $(FUZZTIME) ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzParsers -fuzztime $(FUZZTIME) ./internal/swparse
 	$(GO) test -run '^$$' -fuzz FuzzXMLPipeline -fuzztime $(FUZZTIME) ./internal/lang
+	$(GO) test -run '^$$' -fuzz FuzzJSONOracle -fuzztime $(FUZZTIME) ./internal/lang
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointRestoreRoundTrip -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzJournalRecord -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzEngineDifferential -fuzztime $(FUZZTIME) ./internal/engine

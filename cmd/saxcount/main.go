@@ -174,7 +174,7 @@ func main() {
 		opts, cv := cf.Attach(aspen.ExecOptions{})
 		chars := 0
 		for _, t := range toks {
-			if t.Name == "TEXT" {
+			if lx.RuleName(t.Rule) == "TEXT" {
 				chars += t.End - t.Start
 			}
 		}

@@ -306,6 +306,27 @@ func (e *Execution) Feed(sym Symbol) (bool, error) {
 	return false, nil
 }
 
+// FeedAll consumes codes in order — drain ε-moves, then feed, per
+// symbol — and reports how many were consumed, whether the machine
+// jammed on codes[fed], and any machine fault (the faulting symbol stays
+// uncounted). Hooks and faults fire exactly as under the per-symbol
+// calls.
+func (e *Execution) FeedAll(codes []Symbol) (fed int, jammed bool, err error) {
+	for i, c := range codes {
+		if _, err := e.DrainEpsilon(); err != nil {
+			return i, false, err
+		}
+		ok, err := e.Feed(c)
+		if err != nil {
+			return i, false, err
+		}
+		if !ok {
+			return i, true, nil
+		}
+	}
+	return len(codes), false, nil
+}
+
 // InAccept reports whether the active state is an accept state.
 func (e *Execution) InAccept() bool { return e.M.States[e.cur].Accept }
 

@@ -91,6 +91,7 @@ func (e *MismatchError) Error() string {
 type Builder struct {
 	l     *lang.Language
 	cm    *compile.Compiled
+	lx    *lexer.Lexer
 	input []byte
 	toks  []lexer.Token
 
@@ -116,7 +117,7 @@ func Build(l *lang.Language, cm *compile.Compiled, input []byte) (*Document, cor
 		return nil, core.Result{}, err
 	}
 	b := &Builder{
-		l: l, cm: cm, input: input, toks: toks,
+		l: l, cm: cm, lx: lx, input: input, toks: toks,
 		doc: &Document{},
 	}
 	res, err := cm.ParseTokens(syms, core.ExecOptions{
@@ -246,7 +247,7 @@ func (b *Builder) attachTerminal(term string, tokIdx int) {
 // `last` by scanning back to the opening LT/LTSLASH.
 func (b *Builder) tagName(last int) string {
 	for i := last; i >= 0; i-- {
-		if b.toks[i].Name == "LT" || b.toks[i].Name == "LTSLASH" {
+		if name := b.lx.RuleName(b.toks[i].Rule); name == "LT" || name == "LTSLASH" {
 			if i+1 <= last {
 				return b.lexeme(i + 1)
 			}

@@ -6,8 +6,7 @@ package engine_test
 // exact strings (serve responses embed them). The corpus spans all
 // five built-in grammars with valid, jamming, unlexable, and
 // depth-overflowing documents, driven whole and at adversarial chunk
-// sizes, through both the per-token backend path and the bulk Runner
-// path.
+// sizes through stream.Parser's one feed path, the backend's FeedAll.
 
 import (
 	"errors"
@@ -72,11 +71,10 @@ type runMode int
 
 const (
 	simMode    runMode = iota // core.Execution behind the parser (ground truth)
-	engineMode                // engine.Exec behind the parser, per-token path
-	bulkMode                  // engine.Exec with the FeedAll Runner (serve's path)
+	engineMode                // engine.Exec behind the parser
 )
 
-func (m runMode) String() string { return [...]string{"sim", "engine", "bulk"}[m] }
+func (m runMode) String() string { return [...]string{"sim", "engine"}[m] }
 
 // parseWith runs doc through a streaming parse under the given backend
 // mode, in chunkSize pieces (0 = whole), with an optional stack-depth
@@ -95,9 +93,6 @@ func parseWith(t *testing.T, l *lang.Language, cm *compile.Compiled, mode runMod
 		}
 		x := engine.NewExec(prog, engine.Options{StackDepth: depth})
 		p, err = stream.NewParserBackend(l, cm, x)
-		if err == nil && mode == bulkMode {
-			p.SetRunner(x.FeedAll)
-		}
 	}
 	if err != nil {
 		t.Fatalf("parser %s: %v", l.Name, err)
@@ -139,16 +134,14 @@ func TestEngineDifferentialCorpus(t *testing.T) {
 		for di, doc := range docs {
 			for _, chunk := range []int{0, 1, 7} {
 				want, wantErr := parseWith(t, l, cm, simMode, []byte(doc), chunk, 0)
-				for _, mode := range []runMode{engineMode, bulkMode} {
-					got, gotErr := parseWith(t, l, cm, mode, []byte(doc), chunk, 0)
-					if errString(gotErr) != errString(wantErr) {
-						t.Errorf("%s doc %d chunk %d [%s]: err %q, sim %q",
-							l.Name, di, chunk, mode, errString(gotErr), errString(wantErr))
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s doc %d chunk %d [%s]: outcome\n got %+v\nwant %+v",
-							l.Name, di, chunk, mode, got, want)
-					}
+				got, gotErr := parseWith(t, l, cm, engineMode, []byte(doc), chunk, 0)
+				if errString(gotErr) != errString(wantErr) {
+					t.Errorf("%s doc %d chunk %d: err %q, sim %q",
+						l.Name, di, chunk, errString(gotErr), errString(wantErr))
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s doc %d chunk %d: outcome\n got %+v\nwant %+v",
+						l.Name, di, chunk, got, want)
 				}
 			}
 		}
@@ -156,7 +149,7 @@ func TestEngineDifferentialCorpus(t *testing.T) {
 }
 
 // Depth overflows must answer the same error class (serve maps it to
-// 422) with the same string, at every chunking, on both engine paths.
+// 422) with the same string on the engine.
 func TestEngineDifferentialDepthOverflow(t *testing.T) {
 	l := lang.JSON()
 	cm, err := l.Compile(compile.OptAll)
@@ -169,17 +162,15 @@ func TestEngineDifferentialDepthOverflow(t *testing.T) {
 		if wantErr == nil || !errors.Is(wantErr, core.ErrStackOverflow) {
 			t.Fatalf("depth %d: sim did not overflow: %v", depth, wantErr)
 		}
-		for _, mode := range []runMode{engineMode, bulkMode} {
-			got, gotErr := parseWith(t, l, cm, mode, deep, 3, depth)
-			if !errors.Is(gotErr, core.ErrStackOverflow) {
-				t.Fatalf("depth %d [%s]: error class %v", depth, mode, gotErr)
-			}
-			if errString(gotErr) != errString(wantErr) {
-				t.Errorf("depth %d [%s]: err %q, sim %q", depth, mode, errString(gotErr), errString(wantErr))
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("depth %d [%s]: outcome\n got %+v\nwant %+v", depth, mode, got, want)
-			}
+		got, gotErr := parseWith(t, l, cm, engineMode, deep, 3, depth)
+		if !errors.Is(gotErr, core.ErrStackOverflow) {
+			t.Fatalf("depth %d: error class %v", depth, gotErr)
+		}
+		if errString(gotErr) != errString(wantErr) {
+			t.Errorf("depth %d: err %q, sim %q", depth, errString(gotErr), errString(wantErr))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("depth %d: outcome\n got %+v\nwant %+v", depth, got, want)
 		}
 	}
 }
@@ -289,9 +280,7 @@ func TestEngineDifferentialCheckpointInterop(t *testing.T) {
 		if mode == simMode {
 			p, err = stream.NewParser(l, cm, core.ExecOptions{})
 		} else {
-			x := engine.NewExec(prog, engine.Options{})
-			p, err = stream.NewParserBackend(l, cm, x)
-			p.SetRunner(x.FeedAll)
+			p, err = stream.NewParserBackend(l, cm, engine.NewExec(prog, engine.Options{}))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -302,7 +291,7 @@ func TestEngineDifferentialCheckpointInterop(t *testing.T) {
 	for _, dir := range []struct {
 		name     string
 		from, to runMode
-	}{{"engine->sim", bulkMode, simMode}, {"sim->engine", simMode, bulkMode}} {
+	}{{"engine->sim", engineMode, simMode}, {"sim->engine", simMode, engineMode}} {
 		src := newParser(dir.from)
 		if _, err := src.Write(doc[:cut]); err != nil {
 			t.Fatalf("%s: write: %v", dir.name, err)
@@ -327,7 +316,7 @@ func TestEngineDifferentialCheckpointInterop(t *testing.T) {
 	}
 
 	// A corrupted snapshot is refused by the engine backend too.
-	src := newParser(bulkMode)
+	src := newParser(engineMode)
 	if _, err := src.Write(doc[:cut]); err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +325,7 @@ func TestEngineDifferentialCheckpointInterop(t *testing.T) {
 	cp.Exec.Cur = core.StateID(prog.NumStates() + 40)
 	cp.Exec.Seal()
 	cp.Seal()
-	dst := newParser(bulkMode)
+	dst := newParser(engineMode)
 	if err := dst.Restore(&cp); !errors.Is(err, core.ErrCheckpointCorrupt) {
 		t.Fatalf("out-of-range restore: %v, want ErrCheckpointCorrupt", err)
 	}
@@ -373,10 +362,10 @@ func TestEngineBatchMatchesSingleLane(t *testing.T) {
 		}
 		var codes []core.Symbol
 		for _, tk := range toks {
-			sym := l.Grammar.Lookup(tk.Name)
-			c, ok := cm.Tokens.Code(sym)
+			name := lx.RuleName(tk.Rule)
+			c, ok := cm.Tokens.Code(l.Grammar.Lookup(name))
 			if !ok {
-				t.Fatalf("no code for %q", tk.Name)
+				t.Fatalf("no code for %q", name)
 			}
 			codes = append(codes, c)
 		}

@@ -35,7 +35,9 @@ Elements : Value | Elements COMMA Value ;
 			{Name: "TRUE", Pattern: `true`},
 			{Name: "FALSE", Pattern: `false`},
 			{Name: "NULL", Pattern: `null`},
-			{Name: "STRING", Pattern: `"([^"\\]|\\.)*"`},
+			// RFC 8259 §7: no raw control byte, only the escapes
+			// \" \\ \/ \b \f \n \r \t, and \u with exactly four hex digits.
+			{Name: "STRING", Pattern: `"([^"\\\x00-\x1f]|\\["\\/bfnrt]|\\u[0-9a-fA-F][0-9a-fA-F][0-9a-fA-F][0-9a-fA-F])*"`},
 			{Name: "INT", Pattern: `-?(0|[1-9]\d*)`},
 			{Name: "FRAC", Pattern: `\.\d+`},
 			{Name: "EXP", Pattern: `[eE][+-]?\d+`},

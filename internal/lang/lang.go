@@ -75,11 +75,16 @@ func (l *Language) Compile(opts compile.Options) (*compile.Compiled, error) {
 // Syms converts lexer tokens to grammar terminals. Every non-skip rule
 // name must be a grammar terminal.
 func (l *Language) Syms(toks []lexer.Token) ([]grammar.Sym, error) {
+	lx, err := l.Lexer()
+	if err != nil {
+		return nil, err
+	}
 	out := make([]grammar.Sym, len(toks))
 	for i, t := range toks {
-		s := l.Grammar.Lookup(t.Name)
+		name := lx.RuleName(t.Rule)
+		s := l.Grammar.Lookup(name)
 		if s == grammar.NoSym || !l.Grammar.IsTerminal(s) {
-			return nil, fmt.Errorf("lang %s: lexer rule %q is not a grammar terminal", l.Name, t.Name)
+			return nil, fmt.Errorf("lang %s: lexer rule %q is not a grammar terminal", l.Name, name)
 		}
 		out[i] = s
 	}

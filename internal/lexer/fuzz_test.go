@@ -6,9 +6,10 @@ import (
 )
 
 // modalSpec is the fuzz lexer: modal (text vs tag), with longest-match
-// backtracking (AB/ABC), keyword-vs-identifier priority, and skip rules
-// — every boundary-carrying feature the streaming protocol must get
-// right.
+// backtracking (AB/ABC), failed multi-byte lookaheads the memo records
+// (DASH vs ARROW on "--x"), keyword-vs-identifier priority, and skip
+// rules — every boundary-carrying feature the streaming protocol must
+// get right.
 func modalSpec() Spec {
 	return Spec{Name: "fuzz", Rules: []Rule{
 		{Name: "LT", Pattern: "<", SetMode: "tag"},
@@ -18,6 +19,8 @@ func modalSpec() Spec {
 		{Name: "ID", Pattern: `[a-z][a-z0-9]*`},
 		{Name: "INT", Pattern: `\d+`},
 		{Name: "WS", Pattern: `[ \t\r\n]+`, Skip: true},
+		{Name: "DASH", Pattern: `-`},
+		{Name: "ARROW", Pattern: `-+>`},
 		{Name: "NAME", Pattern: `[a-z]+`, Mode: "tag"},
 		{Name: "EQ", Pattern: "=", Mode: "tag"},
 		{Name: "STR", Pattern: `"[^"]*"`, Mode: "tag"},
@@ -49,6 +52,13 @@ func FuzzTokenizeChunkResume(f *testing.F) {
 		f.Add([]byte(s), uint64(1))
 		f.Add([]byte(s), uint64(0x9e3779b97f4a7c15))
 	}
+	// Handoffs into and out of the compiled loop (see TestScanHandoffs);
+	// seed 1 cuts chunks of 2, 2, 2, …, seed 4 cuts 3 then 7, seed 17
+	// cuts 5 then 2.
+	f.Add([]byte("--x -->-"), uint64(1)) // backtrack into the kept bytes
+	f.Add([]byte("---x ab"), uint64(1))  // memo filled, hit, cleared
+	f.Add([]byte("ab<x>ab"), uint64(4))  // LT switches mode on a chunk's last byte
+	f.Add([]byte("ab<x>ab"), uint64(17)) // and GT back
 	l, err := New(modalSpec())
 	if err != nil {
 		f.Fatal(err)

@@ -72,7 +72,7 @@ func TestTokenizeIntoReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(toks2) != 2 || toks2[0].Name != "WORD" || toks2[1].Name != "NUM" {
+	if len(toks2) != 2 || l.RuleName(toks2[0].Rule) != "WORD" || l.RuleName(toks2[1].Rule) != "NUM" {
 		t.Fatalf("reused-buffer tokens wrong: %+v", toks2)
 	}
 	if toks2[0].Start != 9 || toks2[1].End != 12 {

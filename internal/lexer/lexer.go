@@ -46,12 +46,11 @@ type Spec struct {
 	Rules []Rule
 }
 
-// Token is one lexed token.
+// Token is one lexed token, three words; Lexer.RuleName gives its
+// rule's token name.
 type Token struct {
 	// Rule is the index into Spec.Rules.
 	Rule int
-	// Name is the rule's token name.
-	Name string
 	// Start and End delimit the lexeme as byte offsets [Start, End).
 	Start, End int
 }
@@ -102,9 +101,16 @@ type modeNFA struct {
 	name  string
 	idx   int // position in Lexer.order
 	n     *nfa.NFA
-	dfa   *nfa.DFA // fast path, built by Optimize
+	dfa   *nfa.DFA // built by Optimize; the scan runs it instead of n
+	acc   []int32  // per DFA state: the accepted rule index, or -1
 	rules []int    // report code → rule index
 	runs  sync.Pool
+}
+
+// action is what the scan does once a rule's lexeme is decided.
+type action struct {
+	next *modeNFA // the mode the rule switches to, or nil
+	emit bool     // false for a skip rule
 }
 
 // getRun returns a rewound NFA runner for a mode without a DFA, reusing
@@ -125,7 +131,7 @@ type Lexer struct {
 	spec  Spec
 	modes map[string]*modeNFA
 	order []*modeNFA // modes sorted by name
-	next  []*modeNFA // per rule: the mode it switches to, or nil
+	acts  []action   // per rule
 
 	fpOnce sync.Once
 	fp     uint64
@@ -175,11 +181,9 @@ func New(spec Spec) (*Lexer, error) {
 		l.modes[m] = mn
 		l.order = append(l.order, mn)
 	}
-	l.next = make([]*modeNFA, len(spec.Rules))
+	l.acts = make([]action, len(spec.Rules))
 	for i, r := range spec.Rules {
-		if r.SetMode != "" {
-			l.next[i] = l.modes[r.SetMode]
-		}
+		l.acts[i] = action{next: l.modes[r.SetMode], emit: !r.Skip}
 	}
 	return l, nil
 }
@@ -187,12 +191,17 @@ func New(spec Spec) (*Lexer, error) {
 // NumModes returns the number of lexer modes.
 func (l *Lexer) NumModes() int { return len(l.modes) }
 
+// RuleName returns the token name of rule i (a Token's Rule).
+func (l *Lexer) RuleName(i int) string { return l.spec.Rules[i].Name }
+
 // Optimize determinizes each mode's NFA (subset construction) so
-// software scanning costs one table lookup per byte. Tokenization
-// behaviour is unchanged — the DFA preserves report codes and rule
-// priority — and the hardware model is unaffected (ASPEN runs the NFA
-// natively). Safe to call more than once, but not concurrently with a
-// scan or with Fingerprint.
+// software scanning costs one table lookup per byte, and derives the
+// per-state accepted rule the scan loop reads instead of the report
+// map. Tokenization behaviour is unchanged — the DFA preserves report
+// codes and rule priority — and the hardware model is unaffected
+// (ASPEN runs the NFA natively). The DFA's state numbering and tables
+// are those Fingerprint hashes; acc is derived from them. Safe to call
+// more than once, but not concurrently with a scan or with Fingerprint.
 func (l *Lexer) Optimize() error {
 	l.fpOnce = sync.Once{} // the tables change
 	for _, mn := range l.order {
@@ -202,6 +211,13 @@ func (l *Lexer) Optimize() error {
 		d, err := mn.n.Determinize()
 		if err != nil {
 			return fmt.Errorf("lexer %s mode %s: %w", l.spec.Name, mn.name, err)
+		}
+		mn.acc = make([]int32, len(d.Report))
+		for q, r := range d.Report {
+			mn.acc[q] = -1
+			if r >= 0 {
+				mn.acc[q] = int32(mn.rules[r])
+			}
 		}
 		mn.dfa = d
 	}

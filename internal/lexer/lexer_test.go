@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func simpleSpec() Spec {
@@ -20,10 +21,10 @@ func simpleSpec() Spec {
 	}
 }
 
-func names(toks []Token) []string {
+func names(l *Lexer, toks []Token) []string {
 	out := make([]string, len(toks))
 	for i, t := range toks {
-		out[i] = t.Name
+		out[i] = l.RuleName(t.Rule)
 	}
 	return out
 }
@@ -39,8 +40,8 @@ func TestTokenizeBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"IF", "ID", "PLUS", "INT"}
-	if strings.Join(names(toks), ",") != strings.Join(want, ",") {
-		t.Fatalf("tokens = %v, want %v", names(toks), want)
+	if strings.Join(names(l, toks), ",") != strings.Join(want, ",") {
+		t.Fatalf("tokens = %v, want %v", names(l, toks), want)
 	}
 	if toks[1].Text(in) != "x1" || toks[3].Text(in) != "42" {
 		t.Errorf("lexemes wrong: %q %q", toks[1].Text(in), toks[3].Text(in))
@@ -64,8 +65,8 @@ func TestKeywordPriority(t *testing.T) {
 	}
 	// "if" → IF (rule order wins the tie); "iffy" → ID (longest match
 	// beats the shorter IF prefix).
-	if toks[0].Name != "IF" || toks[1].Name != "ID" {
-		t.Fatalf("tokens = %v", names(toks))
+	if l.RuleName(toks[0].Rule) != "IF" || l.RuleName(toks[1].Rule) != "ID" {
+		t.Fatalf("tokens = %v", names(l, toks))
 	}
 }
 
@@ -83,8 +84,8 @@ func TestLongestMatchBacktrack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Join(names(toks), ",") != "AB,D" {
-		t.Fatalf("tokens = %v", names(toks))
+	if strings.Join(names(l, toks), ",") != "AB,D" {
+		t.Fatalf("tokens = %v", names(l, toks))
 	}
 }
 
@@ -120,8 +121,8 @@ func TestModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := "LT,NAME,GT,TEXT,LT,NAME,GT,TEXT"
-	if strings.Join(names(toks), ",") != want {
-		t.Fatalf("tokens = %v, want %s", names(toks), want)
+	if strings.Join(names(l, toks), ",") != want {
+		t.Fatalf("tokens = %v, want %s", names(l, toks), want)
 	}
 	if l.NumModes() != 2 {
 		t.Errorf("NumModes = %d", l.NumModes())
@@ -208,6 +209,14 @@ func TestOptimizeEquivalence(t *testing.T) {
 				t.Fatalf("token %d divergence on %q: %+v vs %+v", i, buf, t1[i], t2[i])
 			}
 		}
+	}
+}
+
+// A Token is three words: the scan appends one per lexeme, and the
+// name it once carried is Lexer.RuleName's to give.
+func TestTokenSize(t *testing.T) {
+	if n := unsafe.Sizeof(Token{}); n != 24 {
+		t.Fatalf("Token is %d bytes, want 24", n)
 	}
 }
 

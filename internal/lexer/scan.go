@@ -116,11 +116,11 @@ func (s *Scan) release() {
 	}
 }
 
-// run returns the NFA runner for the current mode.
-func (s *Scan) run() *nfa.Run {
-	if s.nrunMode != s.mode {
+// runner returns the NFA runner for mode mn.
+func (s *Scan) runner(mn *modeNFA) *nfa.Run {
+	if s.nrunMode != mn {
 		s.release()
-		s.nrun, s.nrunMode = s.mode.getRun(), s.mode
+		s.nrun, s.nrunMode = mn.getRun(), mn
 	}
 	return s.nrun
 }
@@ -130,52 +130,54 @@ func (s *Scan) clearMemo() {
 	s.memoMax = -1
 }
 
-// scan steps the run through chunk, the stream bytes [s.end,
-// s.end+len(chunk)), emitting each lexeme as soon as its maximal munch
-// is decided. With eof the stream ends after chunk.
+// span is the input of one scan call: the kept bytes old at stream
+// offset oldAt, then chunk at offset base.
+type span struct {
+	old, chunk  []byte
+	oldAt, base int
+}
+
+// seg returns the segment holding stream offset x, and its offset.
+func (in *span) seg(x int) ([]byte, int) {
+	if x < in.base {
+		return in.old, in.oldAt
+	}
+	return in.chunk, in.base
+}
+
+// at returns the stream byte at offset x.
+func (in *span) at(x int) byte {
+	seg, at := in.seg(x)
+	return seg[x-at]
+}
+
+// scan steps the run through the kept bytes and then chunk, the stream
+// bytes [s.end, s.end+len(chunk)), emitting each lexeme as soon as its
+// maximal munch is decided. A DFA mode runs the compiled loop, runDFA,
+// one segment at a time; an NFA mode (a lexer Optimize could not
+// determinize, the hardware model) steps its pooled runner one lexeme
+// at a time. With eof the stream ends after chunk.
 func (s *Scan) scan(dst []Token, chunk []byte, eof bool) ([]Token, Stats, error) {
 	st := Stats{Bytes: len(chunk)}
-	base, old := s.end, s.kept
-	oldAt, end := base-len(old), base+len(chunk)
+	in := span{old: s.kept, oldAt: s.end - len(s.kept), chunk: chunk, base: s.end}
+	end := in.base + len(chunk)
 	s.end = end
-	from := func(x int) []byte {
-		if x < base {
-			return old[x-oldAt:]
+	for s.pos < end || eof && s.pos > s.start {
+		seg, at := in.seg(s.pos)
+		var err error
+		if s.mode.dfa != nil {
+			dst, err = s.runDFA(dst, &in, seg, at, eof && at+len(seg) == end, &st)
+		} else if s.pos == end || s.stepNFA(seg[s.pos-at:], &st) {
+			dst, err = s.endNFA(dst, &in, &st)
 		}
-		return chunk[x-base:]
-	}
-	for {
-		if s.pos < end {
-			if !s.advance(from(s.pos), &st) {
-				continue
-			}
-		} else if !eof || s.pos == s.start {
-			break
-		}
-		// The run stopped at s.pos (dead, failed memo entry, or end of
-		// input): the longest accept is the lexeme.
-		if s.accEnd < 0 {
-			return dst, st, &Error{Spec: s.l.spec.Name, Pos: s.start, Byte: s.lead, Mode: s.mode.name}
-		}
-		s.remember(func(x int) byte { return from(x)[0] })
-		rule := &s.l.spec.Rules[s.accRule]
-		st.Tokens++
-		if !rule.Skip {
-			dst = append(dst, Token{Rule: s.accRule, Name: rule.Name, Start: s.start, End: s.accEnd})
-			st.HandoffCycles += 2
-		}
-		if next := s.l.next[s.accRule]; next != nil {
-			s.mode = next
-		}
-		s.start, s.pos, s.accEnd = s.accEnd, s.accEnd, -1
-		if s.memoMax >= 0 && s.start >= s.memoMax {
-			s.clearMemo()
+		if err != nil {
+			return dst, st, err
 		}
 	}
 	if s.accEnd < 0 {
 		s.kept = s.kept[:0]
-	} else if s.accEnd < base {
-		if k := s.accEnd - oldAt; k > 0 {
+	} else if base := in.base; s.accEnd < base {
+		if k := s.accEnd - in.oldAt; k > 0 {
 			s.kept = s.kept[:copy(s.kept, s.kept[k:])]
 		}
 		s.kept = append(s.kept, chunk...)
@@ -185,60 +187,148 @@ func (s *Scan) scan(dst []Token, chunk []byte, eof bool) ([]Token, Stats, error)
 	return dst, st, nil
 }
 
-// advance steps the run through seg, the bytes from s.pos on. It
-// reports whether the run stopped before the end of seg.
-func (s *Scan) advance(seg []byte, st *Stats) (stopped bool) {
+// runDFA is the compiled scan loop of a DFA mode. It runs lexeme after
+// lexeme through seg, the stream bytes from at on that hold s.pos, and
+// emits each token inline, with the run (state, lexeme start, last
+// accept) in locals, written back to s once when it returns: when seg
+// ends with a lexeme pending, the run backtracks to before seg, a rule
+// switches to a mode without a DFA, or on a lex error. With last, seg
+// ends the stream.
+func (s *Scan) runDFA(dst []Token, in *span, seg []byte, at int, last bool, st *Stats) ([]Token, error) {
 	mn := s.mode
-	fresh := s.pos == s.start
-	if fresh {
+	d := mn.dfa
+	trans, acc, acts := d.Trans, mn.acc, s.l.acts
+	// Offsets relative to seg: the lexeme starts at start and the run
+	// has stepped through i; the last accept ends at ae (ae <= start:
+	// none yet) in state accState. i-i0 counts the bytes stepped.
+	start, i, q := s.start-at, s.pos-at, s.state
+	ae, accState := start, s.accState
+	if s.accEnd >= 0 {
+		ae = s.accEnd - at
+	}
+	if i == start {
+		q = d.Start
+	}
+	i0, lexemes, emitted := i, 0, len(dst)
+	memoTo := s.memoMax - at // steps to i <= memoTo may land on a failed entry
+	failed := false
+	for {
+		for i < len(seg) {
+			q = trans[int(q)<<8|int(seg[i])]
+			i++
+			if q < 0 {
+				break
+			}
+			if acc[q] >= 0 {
+				ae, accState = i, q
+			} else if i <= memoTo && s.failed(memoKey{pos: at + i, mode: int32(mn.idx), state: q}) {
+				q = -1
+				break
+			}
+		}
+		if q >= 0 && (!last || i == start) {
+			break // seg ends with the run live
+		}
+		// The run stopped at i (dead, failed memo entry, or end of
+		// stream): the longest accept is the lexeme.
+		if ae <= start {
+			failed = true
+			break
+		}
+		if i-ae > 1 {
+			s.remember(in, mn, at+ae, accState, at+i-1)
+			memoTo = s.memoMax - at
+		}
+		rule := int(acc[accState])
+		act := acts[rule]
+		lexemes++
+		if act.emit {
+			dst = append(dst, Token{Rule: rule, Start: at + start, End: at + ae})
+		}
+		i0 -= i - ae
+		start, i = ae, ae
+		if s.memoMax >= 0 && at+start >= s.memoMax {
+			s.clearMemo()
+			memoTo = -1 - at
+		}
+		if next := act.next; next != nil && next != mn {
+			if mn = next; mn.dfa == nil {
+				break
+			}
+			d = mn.dfa
+			trans, acc = d.Trans, mn.acc
+		}
+		if i < 0 {
+			break // backtracked into the kept bytes
+		}
+		q = d.Start
+	}
+	s.mode, s.state, s.start, s.pos, s.accEnd = mn, q, at+start, at+i, -1
+	if ae > start {
+		s.accEnd, s.accRule, s.accState = at+ae, int(acc[accState]), accState
+	}
+	if start >= 0 && start < len(seg) {
+		s.lead = seg[start]
+	} // else the lexeme began in an earlier segment, which set lead
+	st.Tokens += lexemes
+	st.ScanCycles += i - i0
+	st.HandoffCycles += 2 * (len(dst) - emitted)
+	if failed {
+		return dst, &Error{Spec: s.l.spec.Name, Pos: s.start, Byte: s.lead, Mode: mn.name}
+	}
+	return dst, nil
+}
+
+// stepNFA steps an NFA mode's run through seg, the bytes from s.pos on.
+// It reports whether the run stopped before the end of seg.
+func (s *Scan) stepNFA(seg []byte, st *Stats) (stopped bool) {
+	mn := s.mode
+	r := s.runner(mn)
+	if s.pos == s.start {
+		r.Reset()
 		s.lead = seg[0]
 	}
-	// Steps n with s.pos+n <= memoMax may land on a failed entry.
-	memoTo := s.memoMax - s.pos
-	accEnd, accRule, accState := s.accEnd, s.accRule, s.accState
+	memoTo := s.memoMax - s.pos // steps n <= memoTo may land on a failed entry
 	n := 0
-	if d := mn.dfa; d != nil {
-		q := s.state
-		if fresh {
-			q = d.Start
-		}
-		trans, report := d.Trans, d.Report
-		for n < len(seg) {
-			q = trans[int(q)<<8|int(seg[n])]
-			n++
-			if q < 0 {
-				stopped = true
-				break
-			}
-			if r := report[q]; r >= 0 {
-				accEnd, accRule, accState = s.pos+n, mn.rules[r], q
-			} else if n <= memoTo && s.failed(memoKey{pos: s.pos + n, mode: int32(mn.idx), state: q}) {
-				stopped = true
-				break
-			}
-		}
-		s.state = q
-	} else {
-		r := s.run()
-		if fresh {
-			r.Reset()
-		}
-		for n < len(seg) {
-			alive, rep := r.Step(core.Symbol(seg[n]))
-			n++
-			if rep >= 0 {
-				accEnd, accRule = s.pos+n, mn.rules[rep]
-				s.accSet = append(s.accSet[:0], r.Active()...)
-			} else if !alive || n <= memoTo && s.failed(s.setKey(s.pos+n, r.Active())) {
-				stopped = true
-				break
-			}
+	for n < len(seg) {
+		alive, rep := r.Step(core.Symbol(seg[n]))
+		n++
+		if rep >= 0 {
+			s.accEnd, s.accRule = s.pos+n, mn.rules[rep]
+			s.accSet = append(s.accSet[:0], r.Active()...)
+		} else if !alive || n <= memoTo && s.failed(s.setKey(s.pos+n, mn, r.Active())) {
+			stopped = true
+			break
 		}
 	}
-	s.accEnd, s.accRule, s.accState = accEnd, accRule, accState
 	s.pos += n
 	st.ScanCycles += n
 	return stopped
+}
+
+// endNFA ends an NFA mode's stopped run at s.pos (dead, failed memo
+// entry, or end of stream): its longest accept is the lexeme.
+func (s *Scan) endNFA(dst []Token, in *span, st *Stats) ([]Token, error) {
+	if s.accEnd < 0 {
+		return dst, &Error{Spec: s.l.spec.Name, Pos: s.start, Byte: s.lead, Mode: s.mode.name}
+	}
+	if s.pos-s.accEnd > 1 {
+		s.remember(in, s.mode, s.accEnd, 0, s.pos-1)
+	}
+	act := s.l.acts[s.accRule]
+	st.Tokens++
+	if act.emit {
+		dst = append(dst, Token{Rule: s.accRule, Start: s.start, End: s.accEnd})
+		st.HandoffCycles += 2
+	}
+	if act.next != nil {
+		s.mode = act.next
+	}
+	s.start, s.pos, s.accEnd = s.accEnd, s.accEnd, -1
+	if s.memoMax >= 0 && s.start >= s.memoMax {
+		s.clearMemo()
+	}
+	return dst, nil
 }
 
 func (s *Scan) failed(k memoKey) bool {
@@ -246,40 +336,36 @@ func (s *Scan) failed(k memoKey) bool {
 	return ok
 }
 
-// setKey is the memo key of an NFA configuration.
-func (s *Scan) setKey(pos int, set nfa.ActiveSet) memoKey {
+// setKey is the memo key of an NFA configuration of mode mn.
+func (s *Scan) setKey(pos int, mn *modeNFA, set nfa.ActiveSet) memoKey {
 	s.keyBuf = s.keyBuf[:0]
 	for _, w := range set {
 		s.keyBuf = binary.LittleEndian.AppendUint64(s.keyBuf, w)
 	}
-	return memoKey{pos: pos, mode: int32(s.mode.idx), state: -1, set: string(s.keyBuf)}
+	return memoKey{pos: pos, mode: int32(mn.idx), state: -1, set: string(s.keyBuf)}
 }
 
-// remember memoizes the configurations the stopped run passed through
-// after its last accept: none of them reaches another accept. It
-// replays them from the accept's configuration, so the common one-byte
-// lookahead costs nothing. at returns the stream byte at an offset.
-func (s *Scan) remember(at func(int) byte) {
-	last := s.pos - 1 // configurations at accEnd+1 .. last failed
-	if last <= s.accEnd {
-		return
-	}
+// remember memoizes the configurations a run of mode mn passed through
+// after its last accept at accEnd, up to last: none of them reaches
+// another accept. It replays them from the accept's configuration
+// (accState, or s.accSet in an NFA mode), so the common one-byte
+// lookahead, which the caller skips, costs nothing.
+func (s *Scan) remember(in *span, mn *modeNFA, accEnd int, accState int32, last int) {
 	if s.memo == nil {
 		s.memo = map[memoKey]struct{}{}
 	}
-	mn := s.mode
 	if d := mn.dfa; d != nil {
-		q := s.accState
-		for x := s.accEnd; x < last && q >= 0; x++ {
-			q = d.Trans[int(q)<<8|int(at(x))]
+		q := accState
+		for x := accEnd; x < last && q >= 0; x++ {
+			q = d.Trans[int(q)<<8|int(in.at(x))]
 			s.memo[memoKey{pos: x + 1, mode: int32(mn.idx), state: q}] = struct{}{}
 		}
 	} else {
-		r := s.run()
+		r := s.runner(mn)
 		r.Resume(s.accSet)
-		for x := s.accEnd; x < last; x++ {
-			r.Step(core.Symbol(at(x)))
-			s.memo[s.setKey(x+1, r.Active())] = struct{}{}
+		for x := accEnd; x < last; x++ {
+			r.Step(core.Symbol(in.at(x)))
+			s.memo[s.setKey(x+1, mn, r.Active())] = struct{}{}
 		}
 	}
 	s.memoMax = max(s.memoMax, last)
@@ -315,7 +401,7 @@ func (s *Scan) AppendBinary(b []byte) []byte {
 	case dfa:
 		words(uint64(s.state))
 	default:
-		words(s.run().Active()...)
+		words(s.runner(s.mode).Active()...)
 	}
 	if s.accEnd < 0 {
 		b = append(b, 0)
@@ -453,7 +539,7 @@ func (s *Scan) Resume(l *Lexer, data []byte, end int) error {
 			return bad("run configuration")
 		}
 		if s.state = q; raw != nil {
-			s.run().Resume(activeSet(nil, raw))
+			s.runner(mn).Resume(activeSet(nil, raw))
 		}
 	} else if n, ok := u32(); !ok || n != 0 {
 		return bad("run configuration")

@@ -2,6 +2,7 @@ package lexer
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -77,7 +78,7 @@ func TestLinearMaximalMunch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(toks) != size || toks[size-1] != (Token{Rule: 0, Name: "A", Start: size - 1, End: size}) {
+				if len(toks) != size || toks[size-1] != (Token{Rule: 0, Start: size - 1, End: size}) {
 					t.Fatalf("size %d: %d tokens, want %d single-a tokens", size, len(toks), size)
 				}
 				if per := float64(st.ScanCycles) / float64(size); per > 3 {
@@ -287,11 +288,11 @@ func naiveTokenize(l *Lexer, input []byte) ([]Token, error) {
 		if best < 0 {
 			return toks, &Error{Spec: l.spec.Name, Pos: pos, Byte: input[pos], Mode: mode.name}
 		}
-		if r := l.spec.Rules[rule]; !r.Skip {
-			toks = append(toks, Token{Rule: rule, Name: r.Name, Start: pos, End: best})
+		if !l.spec.Rules[rule].Skip {
+			toks = append(toks, Token{Rule: rule, Start: pos, End: best})
 		}
-		if next := l.next[rule]; next != nil {
-			mode = next
+		if next := l.spec.Rules[rule].SetMode; next != "" {
+			mode = l.modes[next]
 		}
 		pos = best
 	}
@@ -352,6 +353,94 @@ func TestMemoMatchesNaiveMunch(t *testing.T) {
 				}
 				if err == nil {
 					cycles = st.ScanCycles
+				}
+			}
+		}
+	}
+}
+
+// TestScanHandoffs pins the scan's handoffs into and out of its DFA
+// loop — across a chunk boundary, into and out of the kept bytes, the
+// memo, and mode switches — on the determinized lexer and on the NFA
+// one (Optimize not called). Every chunking must emit the memo-free
+// reference's tokens or error, and exactly the scan and handoff cycles
+// worked out by hand for each case.
+func TestScanHandoffs(t *testing.T) {
+	cases := []struct {
+		name    string
+		in      string
+		chunks  [][]int // chunk sizes; the rest of the input follows whole
+		cycles  int
+		handoff int
+		err     *Error
+	}{
+		// DASH accepts at 1; ARROW's lookahead "-" is kept at the chunk
+		// end and dies on "x", so the next lexeme starts in the kept
+		// bytes and crosses into the chunk: 3+2+1 cycles.
+		{"accept in kept bytes", "--x", [][]int{{2}, {1}, {1, 1}}, 6, 6, nil},
+		// "---" then "x" fails ARROW two bytes past DASH's accept and
+		// fills the memo; the second DASH stops on a failed entry, the
+		// third passes the memo, which is cleared; the lexemes after it
+		// run as usual: 4+2+2+2+2+2 cycles.
+		{"memo filled, hit, cleared", "---x ab", [][]int{{2}, {3}, {4, 1}, {1, 1, 1, 1}}, 14, 10, nil},
+		// LT switches to the tag mode on the last byte of a chunk, and
+		// GT back: 3+2+2+2+2 cycles.
+		{"mode switch at chunk end", "ab<x>ab", [][]int{{3}, {5}, {3, 2}}, 11, 10, nil},
+		// The unterminated string starts in one chunk and fails at the
+		// end of the stream: the error names its first byte.
+		{"error after a boundary", `<a b="open`, [][]int{{3, 4}, {6}, {5}}, 0, 0,
+			&Error{Spec: "fuzz", Pos: 5, Byte: '"', Mode: "tag"}},
+	}
+	for _, c := range cases {
+		for _, optimize := range []bool{true, false} {
+			l, err := New(modalSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if optimize {
+				if err := l.Optimize(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			in := []byte(c.in)
+			want, wantErr := naiveTokenize(l, in)
+			if c.err == nil && wantErr != nil || c.err != nil && !reflect.DeepEqual(wantErr, c.err) {
+				t.Fatalf("%s: reference error %v, want %v", c.name, wantErr, c.err)
+			}
+			for _, sizes := range append([][]int{nil}, c.chunks...) {
+				var s Scan
+				if err := s.Reset(l, DefaultMode); err != nil {
+					t.Fatal(err)
+				}
+				var got []Token
+				var sum Stats
+				var err error
+				add := func(toks []Token, st Stats, e error) {
+					got, err = toks, e
+					sum.ScanCycles += st.ScanCycles
+					sum.HandoffCycles += st.HandoffCycles
+				}
+				rest := in
+				for _, n := range sizes {
+					add(s.Feed(got, rest[:n]))
+					rest = rest[n:]
+				}
+				if err == nil {
+					add(s.Feed(got, rest))
+				}
+				if err == nil {
+					add(s.Finish(got))
+				}
+				where := fmt.Sprintf("%s optimize=%v chunks %v", c.name, optimize, sizes)
+				if !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
+					t.Errorf("%s: tokens %v, reference %v", where, got, want)
+				}
+				if !reflect.DeepEqual(err, wantErr) {
+					t.Errorf("%s: error %v, reference %v", where, err, wantErr)
+				}
+				if c.err == nil && (sum.ScanCycles != c.cycles || sum.HandoffCycles != c.handoff) {
+					t.Errorf("%s: %d scan and %d handoff cycles, want %d and %d",
+						where, sum.ScanCycles, sum.HandoffCycles, c.cycles, c.handoff)
 				}
 			}
 		}

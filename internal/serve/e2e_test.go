@@ -191,6 +191,24 @@ func testE2EConcurrentChunked(t *testing.T, eng string) {
 	if got := snap.Counters["serve_compiles_total"]; got != 2 {
 		t.Errorf("serve_compiles_total = %d, want 2 (startup only)", got)
 	}
+	// Every answer was given clients+1 times, so each tenant's byte and
+	// scan-cycle counters — whose ratio is its scan cycles per byte —
+	// must sum the answers' bytes and lexScanCycles exactly.
+	for _, g := range []string{"JSON", "XML"} {
+		var wantBytes, wantCycles int64
+		for i, c := range cases {
+			if c.grammar == g {
+				wantBytes += int64(want[i].Bytes) * (clients + 1)
+				wantCycles += int64(want[i].LexScanCycles) * (clients + 1)
+			}
+		}
+		gotBytes := snap.Counters["serve_"+g+"_bytes_total"]
+		gotCycles := snap.Counters["serve_"+g+"_lexer_scan_cycles_total"]
+		if gotBytes != wantBytes || gotCycles != wantCycles {
+			t.Errorf("%s: %d bytes and %d scan cycles counted, answers say %d and %d",
+				g, gotBytes, gotCycles, wantBytes, wantCycles)
+		}
+	}
 	switch eng {
 	case EngineFast:
 		if got := snap.Counters["engine_batches_total"]; got == 0 {

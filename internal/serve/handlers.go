@@ -282,6 +282,7 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		g.m.rejected.Inc()
 	}
 	g.m.bytes.Add(int64(out.Bytes))
+	g.m.scan.Add(int64(out.LexStats.ScanCycles))
 	g.m.tokens.Add(int64(out.Tokens))
 	total := time.Since(start).Nanoseconds()
 	s.m.requestNS.ObserveInt(total)

@@ -196,6 +196,7 @@ type grammarMetrics struct {
 	rejected  *telemetry.Counter // parse completed: input not in the language
 	errors    *telemetry.Counter // input unlexable or machine fault
 	bytes     *telemetry.Counter
+	scan      *telemetry.Counter // lexer scan cycles; scan/bytes is cycles per byte
 	tokens    *telemetry.Counter
 	queueLen  *telemetry.Gauge
 	requestNS *telemetry.Histogram
@@ -257,6 +258,7 @@ func newGrammarMetrics(reg *telemetry.Registry, grammar string) grammarMetrics {
 		rejected:  reg.Counter(p+"rejected_total", "inputs rejected (jam or non-accepting end state)"),
 		errors:    reg.Counter(p+"errors_total", "inputs that failed before the machine answered (lex error, machine fault)"),
 		bytes:     reg.Counter(p+"bytes_total", "request body bytes streamed into the parser"),
+		scan:      reg.Counter(p+"lexer_scan_cycles_total", "lexer scan cycles spent on those bytes, backtrack re-scans included"),
 		tokens:    reg.Counter(p+"tokens_total", "tokens fed to the "+grammar+" hDPDA"),
 		queueLen:  reg.Gauge(p+"queue_depth", "admission tickets held (running + waiting)"),
 		overloadQueue: reg.Gauge(telemetry.LabeledName("tenant_queue_depth", "grammar", grammar),

@@ -237,6 +237,7 @@ pump:
 	}
 	sp.bytes = int64(out.Bytes)
 	g.m.bytes.Add(int64(out.Bytes))
+	g.m.scan.Add(int64(out.LexStats.ScanCycles))
 	g.m.tokens.Add(int64(out.Tokens))
 	total := time.Since(start).Nanoseconds()
 	s.m.requestNS.ObserveInt(total)

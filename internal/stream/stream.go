@@ -26,19 +26,22 @@ import (
 type Backend interface {
 	Reset()
 	DrainEpsilon() (int, error)
-	Feed(core.Symbol) (bool, error)
+	FeedAll(codes []core.Symbol) (fed int, jammed bool, err error)
 	InAccept() bool
 	Result() core.Result
 	Checkpoint(*core.Checkpoint)
 	Restore(*core.Checkpoint) error
 }
 
-// Runner is a bulk token-feed hook (see SetRunner): it consumes codes
-// through the parser's backend — possibly batched in lockstep with
-// other parsers sharing the grammar — and reports how many symbols were
-// consumed, whether the machine jammed on codes[fed], and any machine
-// fault. The per-symbol contract must match the default loop: drain
-// ε-moves, then feed, for each code in order.
+// endMarker is the code sequence Close feeds after the last token.
+var endMarker = []core.Symbol{compile.EndCode}
+
+// Runner consumes a chunk's codes through the parser's backend: drain
+// ε-moves, then feed, for each code in order. It reports how many
+// symbols were consumed, whether the machine jammed on codes[fed], and
+// any machine fault. The default is the backend's FeedAll; SetRunner
+// replaces it, e.g. to batch the backend in lockstep with other parsers
+// sharing the grammar.
 type Runner func(codes []core.Symbol) (fed int, jammed bool, err error)
 
 // Parser is an incremental lex+parse pipeline.
@@ -54,7 +57,7 @@ type Parser struct {
 	// code (-1 = not a terminal), replacing two map lookups per token
 	// on the feed path.
 	ruleCodes []int16
-	codes     []core.Symbol // per-chunk code scratch for the Runner path
+	codes     []core.Symbol // per-chunk code scratch
 
 	scan  lexer.Scan    // the lexer run, resumed by every Write
 	spare lexer.Scan    // Restore decodes here before swapping in
@@ -168,6 +171,7 @@ func NewParserBackend(l *lang.Language, cm *compile.Compiled, b Backend) (*Parse
 	p := &Parser{
 		l: l, cm: cm, lx: lx,
 		exec:      b,
+		run:       b.FeedAll,
 		ruleCodes: rc,
 		mfp:       cm.Machine.Fingerprint(),
 	}
@@ -177,10 +181,10 @@ func NewParserBackend(l *lang.Language, cm *compile.Compiled, b Backend) (*Parse
 	return p, nil
 }
 
-// SetRunner installs a bulk feed hook: each chunk's token codes are
-// handed to run in one call instead of the default per-token loop. The
-// serving layer uses this to enroll the parser's engine backend into a
-// per-grammar lockstep batch. Call before the first Write.
+// SetRunner replaces the backend's FeedAll as the consumer of each
+// chunk's token codes. The serving layer uses this to enroll the
+// parser's engine backend into a per-grammar lockstep batch. Call
+// before the first Write.
 func (p *Parser) SetRunner(run Runner) { p.run = run }
 
 // Execution exposes the underlying machine execution for observers
@@ -274,21 +278,17 @@ func (p *Parser) Close() (Outcome, error) {
 	}
 	// Endmarker + trailing ε-moves.
 	if !p.jammed {
-		if _, err := p.exec.DrainEpsilon(); err != nil {
-			p.err = err
-			return p.outcome(), err
+		_, jammed, err := p.exec.FeedAll(endMarker)
+		if err == nil && !jammed {
+			_, err = p.exec.DrainEpsilon()
 		}
-		ok, err := p.exec.Feed(compile.EndCode)
 		if err != nil {
 			p.err = err
 			return p.outcome(), err
 		}
-		if !ok {
+		if jammed {
 			p.jammed = true
 			p.jamPos = p.scan.End()
-		} else if _, err := p.exec.DrainEpsilon(); err != nil {
-			p.err = err
-			return p.outcome(), err
 		}
 	}
 	if p.tm != nil {
@@ -297,65 +297,25 @@ func (p *Parser) Close() (Outcome, error) {
 	return p.outcome(), nil
 }
 
-// feed pushes tokens through the machine.
+// feed translates a chunk's tokens to machine codes in one pass and
+// consumes them through the runner. Fed symbols count as tokens; a
+// jamming token counts and records its position; a machine fault leaves
+// the faulting token uncounted. A token that is not a terminal
+// truncates the codes: the prefix is consumed first, and the error
+// surfaces only if the machine got through it.
 func (p *Parser) feed(toks []lexer.Token) error {
 	if p.jammed {
 		return nil
 	}
-	if p.run != nil {
-		return p.feedBulk(toks)
-	}
-	for _, tk := range toks {
-		code, ok := p.tokenCode(tk)
-		if !ok {
-			return fmt.Errorf("stream: token %q is not a terminal", tk.Name)
-		}
-		if _, err := p.exec.DrainEpsilon(); err != nil {
-			return err
-		}
-		fed, err := p.exec.Feed(code)
-		if err != nil {
-			return err
-		}
-		p.tokens++
-		if !fed {
-			p.jammed = true
-			p.jamPos = tk.Start
-			return nil
-		}
-	}
-	return nil
-}
-
-// tokenCode resolves a token's machine input code through the
-// precomputed rule table.
-func (p *Parser) tokenCode(tk lexer.Token) (core.Symbol, bool) {
-	if tk.Rule >= 0 && tk.Rule < len(p.ruleCodes) {
-		if c := p.ruleCodes[tk.Rule]; c >= 0 {
-			return core.Symbol(c), true
-		}
-	}
-	return 0, false
-}
-
-// feedBulk is the Runner path: translate the chunk's tokens to codes up
-// front and consume them in one call. The per-token accounting is
-// identical to the default loop — fed symbols count, a jamming token
-// counts and records its position, a machine fault leaves the faulting
-// token uncounted — so the two paths produce byte-identical outcomes.
-// A non-terminal token truncates the translated prefix: the prefix is
-// consumed first, and the error surfaces only if the machine got
-// through it, exactly where the per-token loop would have raised it.
-func (p *Parser) feedBulk(toks []lexer.Token) error {
 	codes := p.codes[:0]
 	bad := -1
 	for i, tk := range toks {
-		code, ok := p.tokenCode(tk)
-		if !ok {
+		c := p.ruleCodes[tk.Rule]
+		if c < 0 {
 			bad = i
 			break
 		}
-		codes = append(codes, code)
+		codes = append(codes, core.Symbol(c))
 	}
 	p.codes = codes
 	fed, jammed, err := 0, false, error(nil)
@@ -373,7 +333,7 @@ func (p *Parser) feedBulk(toks []lexer.Token) error {
 		return nil
 	}
 	if bad >= 0 {
-		return fmt.Errorf("stream: token %q is not a terminal", toks[bad].Name)
+		return fmt.Errorf("stream: token %q is not a terminal", p.lx.RuleName(toks[bad].Rule))
 	}
 	return nil
 }
