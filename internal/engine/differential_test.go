@@ -331,91 +331,6 @@ func TestEngineDifferentialCheckpointInterop(t *testing.T) {
 	}
 }
 
-// Batched lockstep execution must match single-lane execution lane for
-// lane, with short lanes retiring early.
-func TestEngineBatchMatchesSingleLane(t *testing.T) {
-	l := lang.JSON()
-	cm, err := l.Compile(compile.OptAll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := cm.Engine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lx, err := l.Lexer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs := []string{
-		`{"a": [1, 2, 3]}`,
-		`[]`,
-		``,
-		`{"deep": [[[[[1]]]]], "x": null}`,
-		`{"bad" 1}`,
-		`[true, false, ` + strings.Repeat(`[`, 40) + `1` + strings.Repeat(`]`, 40) + `]`,
-	}
-	codesOf := func(doc string) []core.Symbol {
-		toks, _, err := lx.Tokenize([]byte(doc))
-		if err != nil {
-			t.Fatalf("tokenize %q: %v", doc, err)
-		}
-		var codes []core.Symbol
-		for _, tk := range toks {
-			name := lx.RuleName(tk.Rule)
-			c, ok := cm.Tokens.Code(l.Grammar.Lookup(name))
-			if !ok {
-				t.Fatalf("no code for %q", name)
-			}
-			codes = append(codes, c)
-		}
-		return append(codes, compile.EndCode)
-	}
-
-	// Lanes at a tiny stack depth so one lane faults mid-batch.
-	depth := 8
-	b := engine.NewBatch()
-	var lanes []*engine.Exec
-	for _, doc := range docs {
-		x := engine.NewExec(prog, engine.Options{StackDepth: depth})
-		lanes = append(lanes, x)
-		b.Add(x, codesOf(doc))
-	}
-	if b.Lanes() != len(docs) {
-		t.Fatalf("lanes = %d, want %d", b.Lanes(), len(docs))
-	}
-	b.Run()
-
-	for i, doc := range docs {
-		solo := engine.NewExec(prog, engine.Options{StackDepth: depth})
-		fed, jammed, err := solo.FeedAll(codesOf(doc))
-		st := b.Status(i)
-		if st.Fed != fed || st.Jammed != jammed || errString(st.Err) != errString(err) {
-			t.Errorf("doc %d: lane (%d,%v,%q) vs solo (%d,%v,%q)",
-				i, st.Fed, st.Jammed, errString(st.Err), fed, jammed, errString(err))
-		}
-		if got, want := lanes[i].Result(), solo.Result(); !reflect.DeepEqual(got, want) {
-			t.Errorf("doc %d: lane result\n got %+v\nwant %+v", i, got, want)
-		}
-	}
-
-	// Reused batch: Reset and run a second wave on reset execs.
-	b.Reset()
-	if b.Lanes() != 0 {
-		t.Fatalf("lanes after Reset = %d", b.Lanes())
-	}
-	x := lanes[0]
-	x.Reset()
-	b.Add(x, codesOf(`{"second": "wave"}`))
-	b.Run()
-	if st := b.Status(0); st.Err != nil || st.Jammed {
-		t.Fatalf("second wave: %+v", st)
-	}
-	if !x.InAccept() {
-		t.Fatal("second wave did not accept")
-	}
-}
-
 // Pooled-reset equivalence: a reset engine exec behaves like a fresh
 // one (the serve parser pool depends on this).
 func TestEngineResetEquivalence(t *testing.T) {

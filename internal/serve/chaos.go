@@ -34,7 +34,7 @@ import (
 // answers 503, and a per-grammar circuit breaker opens after
 // consecutive exhaustions so a poisoned tenant sheds load for a
 // cooldown instead of burning its worker slots. Permanent bank losses
-// additionally shrink the tenant's worker pool to its surviving
+// additionally narrow the tenant's worker width to its surviving
 // capacity (never below one slot): the service degrades, it does not
 // die.
 
@@ -494,46 +494,23 @@ func (b *breaker) failure(now time.Time) {
 	}
 }
 
-// applyBankLoss recomputes this grammar's live capacity and parks
-// worker slots the surviving banks can no longer back. Parking is a
-// goroutine that takes a slot token and holds it forever — banks never
-// revive — so the effective pool shrinks without restructuring the
-// slot channel, and never below one slot (CapacityFor's floor). The
-// goroutine waits for channel capacity under a select against the
-// server's stop signal, so Drain on a busy pool reclaims parkers
-// instead of leaking them (tests create and destroy Servers in-process).
+// applyBankLoss recomputes this grammar's live capacity and narrows
+// its flow's worker width to what the surviving banks back, never below
+// one slot (CapacityFor's floor) and never above the provisioned width.
+// Requests already running above the new width finish; the scheduler
+// grants no more until running drops under it.
 func (g *grammarEntry) applyBankLoss() {
 	if g.fabric == nil {
 		return
 	}
 	c := g.fabric.CapacityInRange(g.bankLo, g.bankHi, g.unitBanks)
-	g.parkMu.Lock()
-	defer g.parkMu.Unlock()
-	desired := c.Contexts
-	if desired > g.workers {
-		desired = g.workers
-	}
-	if desired < 1 {
-		desired = 1
-	}
-	for g.workers-g.parked > desired {
-		g.parked++
-		go func() {
-			select {
-			case g.slots <- struct{}{}:
-			case <-g.stop:
-			}
-		}()
-	}
-	g.m.workersEffective.SetInt(int64(g.workers - g.parked))
+	n := min(max(c.Contexts, 1), g.workers)
+	g.flow.setSlots(n)
+	g.m.workersEffective.SetInt(int64(n))
 }
 
 // effectiveWorkers is the worker-slot count the surviving fabric backs.
-func (g *grammarEntry) effectiveWorkers() int {
-	g.parkMu.Lock()
-	defer g.parkMu.Unlock()
-	return g.workers - g.parked
-}
+func (g *grammarEntry) effectiveWorkers() int { return g.flow.width() }
 
 // Fabric exposes the server's shared bank pool (for chaos drivers and
 // tests).

@@ -163,7 +163,7 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp.g = g
-	defer g.release()
+	defer g.flow.leave()
 	defer s.inflight.Done()
 	defer g.inflight.Done()
 	s.m.requests.Inc()
@@ -193,16 +193,11 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	// Two-stage scheduling: a weighted-fair execution token (the global
-	// AIMD-limited pool, arbitrated across tenants by machine cost) and
-	// then this grammar's bank-backed worker slot. Both waits are queue
-	// time.
+	// One wait, all of it queue time: a weighted-fair execution token
+	// from the global AIMD-limited pool, arbitrated across tenants by
+	// machine cost and granted only while this grammar is under its
+	// bank-backed worker width.
 	if err := s.sched.acquire(ctx, g.flow); err != nil {
-		s.failCtx(w, &sp, g, err)
-		return
-	}
-	defer s.sched.release()
-	if err := g.acquireSlot(ctx); err != nil {
 		s.failCtx(w, &sp, g, err)
 		return
 	}
@@ -214,19 +209,19 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	// and exotic transports may not support it).
 	_ = http.NewResponseController(w).SetReadDeadline(start.Add(s.opts.RequestTimeout))
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	// Durable sessions branch off here: same admission, queueing, and
-	// slot discipline, but the parser state persists across requests
-	// (and restarts) through the checkpoint store.
+	// Durable sessions branch off here: same admission and scheduling,
+	// but the parser state persists across requests (and restarts)
+	// through the checkpoint store.
 	if r.URL.RawQuery != "" {
 		if q := r.URL.Query(); q.Get("session") != "" {
 			final := q.Get("final") == "1" || q.Get("final") == "true"
 			s.serveSession(w, ctx, g, body, q.Get("session"), final, start, queueNS, &sp)
-			g.releaseSlot()
+			s.sched.release(g.flow)
 			return
 		}
 	}
 	out, retries, inputErr, sysErr := g.parseGuarded(ctx, body, &sp)
-	g.releaseSlot()
+	s.sched.release(g.flow)
 	sp.retries = int32(retries)
 	sp.bytes = int64(out.Bytes)
 	parseNS := time.Since(start).Nanoseconds() - queueNS
@@ -309,8 +304,9 @@ type admitDenial struct {
 // Wait on the corresponding wait group (Drain and retireEntry barrier
 // on drainMu's write side), so a request can never slip past a
 // completed drain, and a snapshot entry can never gain a request after
-// its retirement barrier. On success the caller owns one admission
-// ticket and one registration on both s.inflight and g.inflight.
+// its retirement barrier. On success the caller owns one place in the
+// grammar's waiting room and one registration on both s.inflight and
+// g.inflight.
 func (s *Server) admitRequest(name string) (*grammarEntry, int, admitDenial) {
 	s.drainMu.RLock()
 	defer s.drainMu.RUnlock()
@@ -327,7 +323,7 @@ func (s *Server) admitRequest(name string) (*grammarEntry, int, admitDenial) {
 	}
 	// Backpressure: a full waiting room answers immediately instead of
 	// queueing without bound.
-	if err := g.admit(); err != nil {
+	if !g.flow.admit() {
 		s.m.throttled.Inc()
 		s.m.shedTotal[shedQueue].Inc()
 		return nil, http.StatusTooManyRequests, admitDenial{
@@ -415,14 +411,14 @@ func clampRetrySecs(secs int64) string {
 }
 
 // retryAfter derives the 429 Retry-After hint from the mean observed
-// request latency of the grammar times the waiting room it would have
-// to drain, clamped to [1, maxRetryAfterSecs].
+// request latency of the grammar times the rounds of its surviving
+// worker width the admitted backlog fills, clamped to
+// [1, maxRetryAfterSecs].
 func (s *Server) retryAfter(g *grammarEntry) string {
 	secs := int64(1)
 	if n := g.m.requestNS.Count(); n > 0 {
 		meanNS := g.m.requestNS.Sum() / float64(n)
-		backlog := float64(len(g.queue)) / float64(g.workers)
-		if est := int64(meanNS * backlog / 1e9); est > secs {
+		if est := int64(meanNS * g.flow.backlog() / 1e9); est > secs {
 			secs = est
 		}
 	}

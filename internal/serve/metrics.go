@@ -96,23 +96,12 @@ type serviceMetrics struct {
 	errByCode map[int]*telemetry.Counter
 }
 
-// engineMetrics are the fast-path dispatch series: wave occupancy for
-// the lockstep batcher, and the simulator-fallback tallies by reason.
+// engineMetrics are the fast-path dispatch series: the
+// simulator-fallback tallies by reason.
 type engineMetrics struct {
-	occupancy *telemetry.Gauge   // lanes in the most recent wave
-	batches   *telemetry.Counter // waves run
-	lanes     *telemetry.Counter // lane-chunks across all waves (lanes/batches = mean occupancy)
-
 	fbConfig  *telemetry.Counter // -engine=sim pinned the request to the simulator
 	fbChaos   *telemetry.Counter // guarded parse: detection needs execution hooks
 	fbCompile *telemetry.Counter // machine could not be lowered to engine tables
-}
-
-// observe records one completed wave.
-func (em *engineMetrics) observe(lanes int) {
-	em.occupancy.SetInt(int64(lanes))
-	em.batches.Inc()
-	em.lanes.Add(int64(lanes))
 }
 
 func newEngineMetrics(reg *telemetry.Registry) engineMetrics {
@@ -121,9 +110,6 @@ func newEngineMetrics(reg *telemetry.Registry) engineMetrics {
 			"requests served by the simulator instead of the fast-path engine, by reason")
 	}
 	return engineMetrics{
-		occupancy: reg.Gauge("engine_batch_occupancy", "lanes in the most recent fast-path batch wave"),
-		batches:   reg.Counter("engine_batches_total", "fast-path lockstep waves run"),
-		lanes:     reg.Counter("engine_batch_lanes_total", "lane-chunks executed across all fast-path waves"),
 		fbConfig:  fb("config"),
 		fbChaos:   fb("chaos"),
 		fbCompile: fb("compile"),
@@ -198,12 +184,12 @@ type grammarMetrics struct {
 	bytes     *telemetry.Counter
 	scan      *telemetry.Counter // lexer scan cycles; scan/bytes is cycles per byte
 	tokens    *telemetry.Counter
-	queueLen  *telemetry.Gauge
+	queueLen  *telemetry.Gauge // the flow's held count: running + waiting
 	requestNS *telemetry.Histogram
 
 	// overloadQueue is this tenant's weighted-fair backlog depth
-	// (tenant_queue_depth{grammar=} — requests parked waiting for an
-	// execution token, distinct from queueLen's admission tickets).
+	// (tenant_queue_depth{grammar=} — requests waiting for an execution
+	// token, distinct from queueLen, which counts running ones too).
 	overloadQueue *telemetry.Gauge
 
 	// Span-phase latency attribution (trace.go): one histogram per
@@ -260,9 +246,9 @@ func newGrammarMetrics(reg *telemetry.Registry, grammar string) grammarMetrics {
 		bytes:     reg.Counter(p+"bytes_total", "request body bytes streamed into the parser"),
 		scan:      reg.Counter(p+"lexer_scan_cycles_total", "lexer scan cycles spent on those bytes, backtrack re-scans included"),
 		tokens:    reg.Counter(p+"tokens_total", "tokens fed to the "+grammar+" hDPDA"),
-		queueLen:  reg.Gauge(p+"queue_depth", "admission tickets held (running + waiting)"),
+		queueLen:  reg.Gauge(p+"queue_depth", "requests admitted to the tenant's flow (running + waiting)"),
 		overloadQueue: reg.Gauge(telemetry.LabeledName("tenant_queue_depth", "grammar", grammar),
-			"requests parked in the tenant's weighted-fair backlog"),
+			"requests waiting in the tenant's weighted-fair backlog"),
 		requestNS: reg.Histogram(p+"request_ns", "per-request latency (ns) for grammar "+grammar, requestNSBuckets),
 
 		faultFlips:        reg.Counter(p+"fault_flips_total", "injected active-state-vector bit flips"),

@@ -11,14 +11,15 @@ import (
 	"aspen/internal/store"
 )
 
-// Overload control. The bounded per-grammar admission queue (pool.go)
-// protects one tenant's waiting room, but nothing before this layer
-// protected the fabric itself: a single hot tenant could occupy every
-// execution context while a quiet tenant's requests aged out behind it,
-// and a latency regression (gray silicon, a pathological document mix)
-// had no feedback path into admission at all. This file adds the three
-// mechanisms the serving layer was missing, all driven by the machine
-// cost model PR 9's admission analysis already proves:
+// Overload control. One structure admits and schedules every parse:
+// each tenant's wfqFlow bounds its waiting room and its bank-backed
+// worker width, and a server-global weighted-fair queue hands out the
+// AIMD-limited execution tokens across flows. A single hot tenant
+// therefore cannot occupy every execution context while a quiet
+// tenant's requests age out behind it, and a latency regression (gray
+// silicon, a pathological document mix) feeds back into admission.
+// Three mechanisms, all driven by the machine cost model PR 9's
+// admission analysis already proves:
 //
 //   - aimd: an adaptive global concurrency limit over parse execution.
 //     Observed parse latency above the target halves the limit
@@ -30,13 +31,14 @@ import (
 //   - wfq: a weighted-fair queue that arbitrates the limited execution
 //     tokens across tenants. Each grant charges the tenant's flow
 //     cost/weight in virtual time and the scheduler always serves the
-//     lowest-virtual-time backlogged flow, so a flooding tenant queues
-//     behind its own backlog while a quiet tenant's occasional request
-//     dispatches almost immediately. Weights default to the machine's
-//     proven cost (StackBound × engine TableBytes — see costOf), so
-//     by default every tenant gets an equal request-rate share; an
-//     operator can re-weight a tenant at runtime via the journaled
-//     admin "weight" op.
+//     lowest-virtual-time backlogged flow that is under its worker
+//     width, so a flooding tenant queues behind its own backlog — never
+//     holding a token it cannot use — while a quiet tenant's occasional
+//     request dispatches almost immediately. Weights default to the
+//     machine's proven cost (StackBound × engine TableBytes — see
+//     costOf), so by default every tenant gets an equal request-rate
+//     share; an operator can re-weight a tenant at runtime via the
+//     journaled admin "weight" op.
 //
 //   - deadline shed + brownout: a request whose predicted cost (the
 //     tenant's observed ns/byte EWMA × Content-Length) exceeds its
@@ -163,7 +165,7 @@ func (a *aimd) setCeiling(ceiling int) {
 	a.mu.Unlock()
 }
 
-// wfqWaiter is one parked acquire: grant closes ch; cancellation
+// wfqWaiter is one queued acquire: grant closes ch; cancellation
 // removes the waiter under the scheduler lock (granted disambiguates
 // the race between the two).
 type wfqWaiter struct {
@@ -171,16 +173,30 @@ type wfqWaiter struct {
 	granted bool
 }
 
-// wfqFlow is one tenant's scheduling state. cost/weight give the
-// virtual-time charge per grant; vt accumulates it. A flow whose vt
-// fell behind while idle is clamped up to the global virtual time when
-// it next contends — idleness banks no credit (the classic WFQ
-// discipline; without the clamp a tenant could sleep, then burst past
-// everyone at its stale vt).
+// wfqFlow is one tenant's admission and scheduling state, all guarded
+// by q.mu. Two bounds apply:
+//
+//   - held counts requests running or waiting, capped at maxHeld
+//     (workers + QueueDepth): a request that would exceed it is answered
+//     429 at admission, never queued without bound.
+//   - running counts granted tokens, capped at slots — the worker width
+//     the flow's surviving banks back (workers until bank loss lowers
+//     it, never below one). Dispatch skips a flow at its cap, so a
+//     tenant waiting for its own width holds no global token.
+//
+// cost/weight give the virtual-time charge per grant; vt accumulates
+// it. A flow whose vt fell behind while idle is clamped up to the
+// global virtual time when it next contends — idleness banks no credit
+// (the classic WFQ discipline; without the clamp a tenant could sleep,
+// then burst past everyone at its stale vt).
 type wfqFlow struct {
 	g       *grammarEntry
+	q       *wfq
 	vt      float64
 	waiters []*wfqWaiter
+
+	held, maxHeld  int
+	running, slots int
 }
 
 // charge is the virtual time one grant costs this flow.
@@ -192,9 +208,54 @@ func (f *wfqFlow) charge() float64 {
 	return float64(f.g.cost) / w
 }
 
+// admit takes a place in the flow's waiting room, or reports false when
+// running plus waiting requests already fill it.
+func (f *wfqFlow) admit() bool {
+	f.q.mu.Lock()
+	defer f.q.mu.Unlock()
+	if f.held >= f.maxHeld {
+		return false
+	}
+	f.held++
+	f.g.m.queueLen.SetInt(int64(f.held))
+	return true
+}
+
+// leave gives the admitted place back.
+func (f *wfqFlow) leave() {
+	f.q.mu.Lock()
+	f.held--
+	f.g.m.queueLen.SetInt(int64(f.held))
+	f.q.mu.Unlock()
+}
+
+// setSlots sets the worker width. Bank kills are permanent, so the
+// width only shrinks: running grants above it finish, and the flow is
+// dispatched again once running drops below it.
+func (f *wfqFlow) setSlots(n int) {
+	f.q.mu.Lock()
+	f.slots = n
+	f.q.mu.Unlock()
+}
+
+// width is the current worker width.
+func (f *wfqFlow) width() int {
+	f.q.mu.Lock()
+	defer f.q.mu.Unlock()
+	return f.slots
+}
+
+// backlog is how many rounds of the flow's width its admitted requests
+// fill: held / slots.
+func (f *wfqFlow) backlog() float64 {
+	f.q.mu.Lock()
+	defer f.q.mu.Unlock()
+	return float64(f.held) / float64(f.slots)
+}
+
 // wfq is the server-global execution-token scheduler: at most
-// limiter.limitNow() requests hold a token; backlogged flows are
-// served lowest virtual time first.
+// limiter.limitNow() requests hold a token, and at most slots of them
+// per flow; backlogged flows are served lowest virtual time first.
 type wfq struct {
 	limiter *aimd
 
@@ -218,6 +279,7 @@ func (q *wfq) grantLocked(f *wfqFlow) {
 		q.virt = f.vt
 	}
 	q.inflight++
+	f.running++
 }
 
 // enterLocked clamps a flow's virtual time up to the global clock as
@@ -229,30 +291,49 @@ func (q *wfq) enterLocked(f *wfqFlow) {
 	}
 }
 
-// tryAcquire is the contention-free fast path: with no backlog anywhere
-// and headroom under the limit, the token is granted inline with zero
-// allocations (the steady-state request path stays within its pinned
-// budget). It fails — without queuing — when the scheduler would have
-// to park the caller.
+// nextLocked is the backlogged flow dispatch serves next: the lowest
+// virtual time among flows under their worker width, nil when every
+// waiting flow is at its cap. Tenant counts are small (a handful of
+// flows), so the scan is cheaper than a heap would be.
+func (q *wfq) nextLocked() *wfqFlow {
+	var next *wfqFlow
+	for _, f := range q.active {
+		if f.running < f.slots && (next == nil || f.vt < next.vt) {
+			next = f
+		}
+	}
+	return next
+}
+
+// grantNowLocked grants f a token inline when both bounds have headroom
+// and no backlogged flow could be served instead — every waiting flow
+// is at its own width — so the grant passes no one dispatch would
+// serve.
+func (q *wfq) grantNowLocked(f *wfqFlow) bool {
+	if q.inflight >= q.limiter.limitNow() || f.running >= f.slots || q.nextLocked() != nil {
+		return false
+	}
+	q.enterLocked(f)
+	q.grantLocked(f)
+	return true
+}
+
+// tryAcquire is the contention-free fast path: the token is granted
+// inline with zero allocations (the steady-state request path stays
+// within its pinned budget). It fails — without queuing — when the
+// scheduler would have to park the caller.
 func (q *wfq) tryAcquire(f *wfqFlow) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.active) == 0 && q.inflight < q.limiter.limitNow() {
-		q.enterLocked(f)
-		q.grantLocked(f)
-		return true
-	}
-	return false
+	return q.grantNowLocked(f)
 }
 
-// acquire takes one execution token for f, parking in f's FIFO backlog
+// acquire takes one execution token for f, waiting in f's FIFO backlog
 // until the scheduler serves it or ctx ends. ctx is consulted via its
 // Done channel only — acquire adds no deadline of its own.
 func (q *wfq) acquire(ctx ctxDone, f *wfqFlow) error {
 	q.mu.Lock()
-	if len(q.active) == 0 && q.inflight < q.limiter.limitNow() {
-		q.enterLocked(f)
-		q.grantLocked(f)
+	if q.grantNowLocked(f) {
 		q.mu.Unlock()
 		return nil
 	}
@@ -273,7 +354,7 @@ func (q *wfq) acquire(ctx ctxDone, f *wfqFlow) error {
 		if w.granted {
 			// The grant raced the cancellation: the token is ours, so put
 			// it back properly (someone else may be waiting on it).
-			q.releaseLocked()
+			q.releaseLocked(f)
 			q.mu.Unlock()
 			return ctx.Err()
 		}
@@ -299,32 +380,29 @@ type ctxDone interface {
 	Err() error
 }
 
-// release returns one execution token and dispatches as many parked
-// waiters as the current limit allows (the limit may have moved while
+// release returns f's execution token and dispatches as many waiters
+// as the current limit and widths allow (the limit may have moved while
 // the token was held — in either direction).
-func (q *wfq) release() {
+func (q *wfq) release(f *wfqFlow) {
 	q.mu.Lock()
-	q.releaseLocked()
+	q.releaseLocked(f)
 	q.mu.Unlock()
 }
 
-func (q *wfq) releaseLocked() {
+func (q *wfq) releaseLocked(f *wfqFlow) {
 	q.inflight--
+	f.running--
 	q.dispatchLocked()
 }
 
 // dispatchLocked grants tokens to the lowest-virtual-time backlogged
-// flows while there is headroom. Tenant counts are small (a handful of
-// flows), so the min scan is cheaper than a heap would be.
+// flows under their widths while the limit has headroom.
 func (q *wfq) dispatchLocked() {
-	for q.inflight < q.limiter.limitNow() && len(q.active) > 0 {
-		min := 0
-		for i := 1; i < len(q.active); i++ {
-			if q.active[i].vt < q.active[min].vt {
-				min = i
-			}
+	for q.inflight < q.limiter.limitNow() {
+		f := q.nextLocked()
+		if f == nil {
+			return
 		}
-		f := q.active[min]
 		w := f.waiters[0]
 		f.waiters = f.waiters[1:]
 		if len(f.waiters) == 0 {
@@ -501,7 +579,7 @@ func (s *Server) SetWeight(name string, weight int) error {
 func (s *Server) BrownoutLevel() int { return int(s.brownoutLevel.Load()) }
 
 // BenchAdmitCycle drives one complete admission decision — snapshot
-// lookup, waiting-room ticket, shed checks, and the weighted-fair
+// lookup, waiting-room place, shed checks, and the weighted-fair
 // fast-path token — and immediately undoes it. It exists so
 // internal/bench can pin the decision overhead (ns and allocs per
 // request) without standing up HTTP.
@@ -518,13 +596,13 @@ func (s *Server) BenchAdmitCycle(name string, contentLength int64) error {
 		s.finishBench(g)
 		return errors.New("serve: bench admission found the scheduler saturated")
 	}
-	s.sched.release()
+	s.sched.release(g.flow)
 	s.finishBench(g)
 	return nil
 }
 
 func (s *Server) finishBench(g *grammarEntry) {
-	g.release()
+	g.flow.leave()
 	s.inflight.Done()
 	g.inflight.Done()
 }

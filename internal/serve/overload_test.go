@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 	"testing"
@@ -107,12 +108,16 @@ func TestAIMDCollapseAtFloor(t *testing.T) {
 	}
 }
 
+// testFlowSlots is a detached flow's worker width: wide enough that
+// only the limiter binds unless a test narrows it.
+const testFlowSlots = 64
+
 // testFlow builds a detached scheduling flow for whitebox wfq tests.
 func testFlow(reg *telemetry.Registry, name string, cost, weight int64) *wfqFlow {
 	g := &grammarEntry{name: name, cost: cost}
 	g.weight.Store(weight)
 	g.m.overloadQueue = reg.Gauge("test_queue_"+name, "")
-	return &wfqFlow{g: g}
+	return &wfqFlow{g: g, slots: testFlowSlots}
 }
 
 // park spawns an acquire for f and waits until the scheduler has
@@ -130,7 +135,7 @@ func park(t *testing.T, q *wfq, f *wfqFlow, grants chan<- string, proceed <-chan
 		}
 		grants <- f.g.name
 		<-proceed
-		q.release()
+		q.release(f)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -141,7 +146,7 @@ func park(t *testing.T, q *wfq, f *wfqFlow, grants chan<- string, proceed <-chan
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("waiter never parked")
+			t.Fatal("waiter never queued")
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -173,7 +178,7 @@ func TestWFQFairness(t *testing.T) {
 	}
 
 	close(proceed)
-	q.release() // return the initial token; grants cascade
+	q.release(hot) // return the initial token; grants cascade
 	var order []string
 	for i := 0; i < 6; i++ {
 		select {
@@ -212,7 +217,7 @@ func TestWFQWeightedShare(t *testing.T) {
 		park(t, q, slow, grants, proceed)
 	}
 	close(proceed)
-	q.release()
+	q.release(slow)
 	counts := map[string]int{}
 	for i := 0; i < 6; i++ { // first six grants
 		select {
@@ -252,7 +257,7 @@ func TestWFQCancellation(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("waiter never parked")
+			t.Fatal("waiter never queued")
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -266,11 +271,11 @@ func TestWFQCancellation(t *testing.T) {
 	if waiters != 0 || active != 0 {
 		t.Fatalf("canceled waiter left state behind: waiters=%d active=%d", waiters, active)
 	}
-	q.release()
+	q.release(f)
 	if !q.tryAcquire(f) {
 		t.Fatal("token lost after cancellation")
 	}
-	q.release()
+	q.release(f)
 }
 
 // TestDeadlineShed: once the tenant's ns/byte estimate is warm, a
@@ -487,5 +492,142 @@ func TestAdmitCycleAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("admission decision allocates %.1f per request, want 0", allocs)
+	}
+}
+
+// TestWFQSlotCap: a flow's worker width binds inside the scheduler.
+// Dispatch skips a flow at its width in favor of a lower-priority flow
+// with headroom, serves the capped flow once one of its own slots frees,
+// and a width lowered below the running count grants nothing until
+// running drops under it.
+func TestWFQSlotCap(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	q := newWFQ(newAIMD(time.Second, 2))
+	capped := testFlow(reg, "capped", 4, 4)
+	other := testFlow(reg, "other", 4, 4)
+	capped.q, other.q = q, q
+	capped.setSlots(1)
+
+	if !q.tryAcquire(capped) || !q.tryAcquire(other) {
+		t.Fatal("fast path refused a token under the limit")
+	}
+	if q.tryAcquire(capped) {
+		t.Fatal("fast path granted past the flow's width")
+	}
+	grants := make(chan string, 4)
+	proceed := make(chan struct{})
+	park(t, q, capped, grants, proceed)
+	park(t, q, other, grants, proceed)
+	q.mu.Lock()
+	ahead := capped.vt <= other.vt
+	q.mu.Unlock()
+	if !ahead {
+		t.Fatal("setup: the capped flow should be first in virtual time")
+	}
+
+	// A global token frees: the capped flow is first in line but at its
+	// width, so the token goes to the flow with headroom.
+	q.release(other)
+	if g := <-grants; g != "other" {
+		t.Fatalf("freed token went to %q, want the flow with headroom", g)
+	}
+	// One of the capped flow's own slots frees: its waiter runs.
+	q.release(capped)
+	if g := <-grants; g != "capped" {
+		t.Fatalf("freed slot went to %q, want the capped flow's waiter", g)
+	}
+	close(proceed)
+
+	// Narrowing below the running count: no grant until running drops
+	// under the new width.
+	q2 := newWFQ(newAIMD(time.Second, 4))
+	f := testFlow(reg, "narrowed", 4, 4)
+	f.q = q2
+	f.setSlots(2)
+	if !q2.tryAcquire(f) || !q2.tryAcquire(f) {
+		t.Fatal("fast path refused a token within the width")
+	}
+	f.setSlots(1)
+	if q2.tryAcquire(f) {
+		t.Fatal("fast path granted past a narrowed width")
+	}
+	proceed2 := make(chan struct{})
+	park(t, q2, f, grants, proceed2)
+	q2.release(f)
+	q2.mu.Lock()
+	running, waiting := f.running, len(f.waiters)
+	q2.mu.Unlock()
+	if running != 1 || waiting != 1 {
+		t.Fatalf("at the narrowed width: running=%d waiting=%d, want 1 and 1", running, waiting)
+	}
+	q2.release(f)
+	if g := <-grants; g != "narrowed" {
+		t.Fatalf("grant went to %q", g)
+	}
+	close(proceed2)
+}
+
+// TestCrossTenantSlotWait: a request waiting for its own grammar's
+// worker slot must not hold a global execution token, or another
+// tenant's request queues behind it. JSON's only slot is held by a
+// stalled upload and a second JSON request waits for it; an XML request
+// must still run at once, not after the JSON waiter's deadline.
+func TestCrossTenantSlotWait(t *testing.T) {
+	s, ts := newTestServer(t, Options{
+		Languages:      []*lang.Language{lang.JSON(), lang.XML()},
+		Workers:        1,
+		RequestTimeout: 2 * time.Second,
+	})
+	post := func(body io.Reader, out chan<- int) {
+		resp, err := http.Post(ts.URL+"/v1/parse/JSON", "application/octet-stream", body)
+		if err != nil {
+			out <- -1
+			return
+		}
+		resp.Body.Close()
+		out <- resp.StatusCode
+	}
+	pr, pw := io.Pipe()
+	first, second := make(chan int, 1), make(chan int, 1)
+	go post(pr, first)
+	if _, err := pw.Write([]byte(`{"a": [1, `)); err != nil {
+		t.Fatal(err)
+	}
+	go post(bytes.NewReader([]byte(`[1]`)), second)
+
+	// Both JSON requests are committed to the scheduler once the second
+	// either holds a token or waits in JSON's flow.
+	q, jf := s.sched, s.tenants.Load().byName["JSON"].flow
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		q.mu.Lock()
+		n := q.inflight + len(jf.waiters)
+		q.mu.Unlock()
+		if n >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("JSON requests never reached the scheduler")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	resp, out := postWhole(t, ts, "XML", []byte(`<a/>`))
+	if resp.StatusCode != http.StatusOK || !out.Accepted {
+		t.Fatalf("XML request: status %d accepted %v, want 200 accepted", resp.StatusCode, out.Accepted)
+	}
+	if wait := time.Duration(out.QueueNS); wait >= 250*time.Millisecond {
+		t.Fatalf("XML request queued %v behind JSON's slot wait, want < 250ms", wait)
+	}
+
+	if _, err := pw.Write([]byte(`2]}`)); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	if st := <-first; st != http.StatusOK {
+		t.Fatalf("stalled JSON request: status %d", st)
+	}
+	if st := <-second; st != http.StatusOK {
+		t.Fatalf("waiting JSON request: status %d", st)
 	}
 }

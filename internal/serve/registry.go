@@ -24,13 +24,11 @@ type grammarEntry struct {
 	cm   *compile.Compiled
 	cap  arch.Capacity
 
-	// workers is the worker-slot count (= cap.Contexts unless
-	// overridden); slots is the running set, queue the admission
-	// tickets: capacity workers+queueDepth, so a ticket means "running
-	// or in the bounded waiting room" and a failed ticket means 429.
+	// workers is the provisioned worker-slot count (= cap.Contexts
+	// unless overridden). The flow (overload.go) enforces it: at most
+	// workers+QueueDepth requests admitted, at most its surviving width
+	// running.
 	workers int
-	slots   chan struct{}
-	queue   chan struct{}
 
 	// parsers pools reusable stream.Parser state. A Get either hands
 	// back a previously warmed parser (Reset, zero compile work) or
@@ -38,14 +36,13 @@ type grammarEntry struct {
 	parsers sync.Pool
 
 	// Fast-path engine (engine.go). prog is the lowered program the
-	// parser pool runs on (nil = the pool runs the simulator), batcher
-	// the grammar's lockstep wave scheduler, em the shared dispatch
-	// series. fallback, when non-nil, is the reason counter bumped per
-	// unguarded request the pool serves on the simulator ("config" or
-	// "compile"); wantEngine records that the operator asked for the
-	// fast path (so guarded parses count reason "chaos").
+	// parser pool runs on (nil = the pool runs the simulator), em the
+	// shared dispatch series. fallback, when non-nil, is the reason
+	// counter bumped per unguarded request the pool serves on the
+	// simulator ("config" or "compile"); wantEngine records that the
+	// operator asked for the fast path (so guarded parses count reason
+	// "chaos").
 	prog       *engine.Program
-	batcher    *engineBatcher
 	em         *engineMetrics
 	fallback   *telemetry.Counter
 	wantEngine bool
@@ -53,17 +50,13 @@ type grammarEntry struct {
 	// Lifecycle. Entries are immutable once published in a tenant
 	// snapshot; a reload/swap builds a replacement off to the side and
 	// retires this one. inflight counts requests currently executing
-	// against this entry (the retire path waits for it); stop is
-	// per-entry and closed exactly once — at retirement, or at server
-	// drain — releasing any parked-slot goroutines.
+	// against this entry (the retire path waits for it).
 	inflight sync.WaitGroup
-	stopOnce sync.Once
 
 	// Recovery layer (see chaos.go). bankLo/bankHi is this tenant's
 	// contiguous share of the physical fabric; units pools guarded
-	// detector contexts when chaos is armed; parked counts worker
-	// slots retired by bank losses; stop reclaims parked-slot
-	// goroutines at retirement or shutdown.
+	// detector contexts when chaos is armed. Bank losses narrow the
+	// flow's worker width.
 	//
 	// replicas is how many independent execution contexts one guarded
 	// unit runs (verify.Mode.Replicas(): 1 unguarded/scrub, 2 DMR,
@@ -75,21 +68,18 @@ type grammarEntry struct {
 	bankHi    int
 	replicas  int
 	unitBanks int
-	stop      chan struct{}
 	chaos     *ChaosOptions
 	trace     telemetry.TraceSink
 	units     sync.Pool
 	unitSeq   atomic.Int64
 	breaker   breaker
 
-	parkMu sync.Mutex
-	parked int
-
 	// Overload scheduling (overload.go): the machine cost heuristic
 	// (StackBound × TableKB, fixed at build), the runtime-overridable
 	// fair-share weight, the brownout shed rank (recomputed on every
-	// plan change), this tenant's WFQ flow, and the observed ns/byte
-	// predictor the deadline shed multiplies against Content-Length.
+	// plan change), this tenant's WFQ flow (which also bounds its
+	// waiting room and worker width), and the observed ns/byte predictor
+	// the deadline shed multiplies against Content-Length.
 	cost      int64
 	weight    atomic.Int64
 	shedRank  atomic.Int32
@@ -111,13 +101,8 @@ func (g *grammarEntry) replicaBanks(i int) (lo, hi int) {
 	return lo, hi
 }
 
-// closeStop releases this entry's parked-slot goroutines (idempotent).
-func (g *grammarEntry) closeStop() {
-	g.stopOnce.Do(func() { close(g.stop) })
-}
-
 // initChaos wires the recovery layer after the bank range is assigned:
-// the fabric reference (always — bank kills shrink pools regardless),
+// the fabric reference (always — bank kills narrow widths regardless),
 // and, when chaos is armed, the guarded-unit pool and breaker. Each
 // unit builds a verify.Guard whose replicas run on disjoint bank
 // sub-ranges with decorrelated (but reproducible) injector streams; the
@@ -229,9 +214,6 @@ func newGrammarEntry(s *Server, l *lang.Language, fabricShare int) (*grammarEntr
 		replicas:  replicas,
 		unitBanks: unitBanks,
 		workers:   workers,
-		slots:     make(chan struct{}, workers),
-		queue:     make(chan struct{}, workers+s.opts.QueueDepth),
-		stop:      make(chan struct{}),
 		m:         newGrammarMetrics(s.reg, l.Name),
 	}
 	// Fast-path lowering happens here, at load time like every other
@@ -246,7 +228,6 @@ func newGrammarEntry(s *Server, l *lang.Language, fabricShare int) (*grammarEntr
 		g.fallback = g.em.fbCompile
 	} else {
 		g.prog = prog
-		g.batcher = newEngineBatcher(g.em)
 	}
 	// Overload plumbing: the cost heuristic needs the lowered table
 	// footprint, so it is computed after the engine decision above. The
@@ -259,22 +240,12 @@ func newGrammarEntry(s *Server, l *lang.Language, fabricShare int) (*grammarEntr
 		w = int64(ov)
 	}
 	g.weight.Store(w)
-	g.flow = &wfqFlow{g: g}
+	g.flow = &wfqFlow{g: g, q: s.sched, maxHeld: workers + s.opts.QueueDepth, slots: workers}
 	g.parsers.New = func() any {
 		var p *stream.Parser
 		var err error
 		if g.prog != nil {
-			// Engine-backed parser: its Exec enrolls chunks into the
-			// grammar's wave batcher through a standing job ticket (one
-			// per pooled parser, allocated here, reused per chunk).
-			x := engine.NewExec(g.prog, engine.Options{})
-			p, err = stream.NewParserBackend(g.lang, g.cm, x)
-			if err == nil {
-				j := &engineJob{x: x, done: make(chan struct{}, 1)}
-				p.SetRunner(func(codes []core.Symbol) (int, bool, error) {
-					return g.batcher.run(j, codes)
-				})
-			}
+			p, err = stream.NewParserBackend(g.lang, g.cm, engine.NewExec(g.prog, engine.Options{}))
 		} else {
 			p, err = stream.NewParser(g.lang, g.cm, core.ExecOptions{})
 		}

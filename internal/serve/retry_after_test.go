@@ -29,7 +29,8 @@ func TestClampRetrySecs(t *testing.T) {
 
 // TestRetryAfterBounds pins the 429 hint at both ends: a cold server
 // with no latency history answers at least 1 second, and a pathological
-// backlog estimate is capped at maxRetryAfterSecs.
+// backlog estimate is capped at maxRetryAfterSecs. Between them, the
+// estimate divides the backlog by the surviving worker width.
 func TestRetryAfterBounds(t *testing.T) {
 	s, err := New(Options{Languages: []*lang.Language{lang.JSON()}, Workers: 1})
 	if err != nil {
@@ -44,8 +45,8 @@ func TestRetryAfterBounds(t *testing.T) {
 
 	// A sub-second mean must round up to 1, never truncate to 0.
 	g.m.requestNS.ObserveInt((50 * time.Millisecond).Nanoseconds())
-	if err := g.admit(); err != nil {
-		t.Fatal(err)
+	if !g.flow.admit() {
+		t.Fatal("empty waiting room refused admission")
 	}
 	if got := s.retryAfter(g); got != "1" {
 		t.Errorf("sub-second estimate Retry-After = %q, want %q", got, "1")
@@ -56,5 +57,32 @@ func TestRetryAfterBounds(t *testing.T) {
 	if got := s.retryAfter(g); got != "60" {
 		t.Errorf("pathological estimate Retry-After = %q, want %q", got, "60")
 	}
-	g.release()
+	g.flow.leave()
+
+	// The backlog drains at the surviving width, not the provisioned
+	// one: four admitted requests at a 2 s mean take one round of four
+	// healthy slots, but four rounds once bank loss has floored the
+	// width at one.
+	s, err = New(Options{Languages: []*lang.Language{lang.JSON()}, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g = s.grammar("JSON")
+	g.m.requestNS.ObserveInt((2 * time.Second).Nanoseconds())
+	for i := 0; i < 4; i++ {
+		if !g.flow.admit() {
+			t.Fatal("waiting room refused admission")
+		}
+	}
+	if got := s.retryAfter(g); got != "2" {
+		t.Errorf("full-width Retry-After = %q, want %q", got, "2")
+	}
+	for s.KillNextBank() >= 0 {
+	}
+	if w := g.effectiveWorkers(); w != 1 {
+		t.Fatalf("dead fabric left width %d, want the floor of 1", w)
+	}
+	if got := s.retryAfter(g); got != "8" {
+		t.Errorf("floored-width Retry-After = %q, want %q", got, "8")
+	}
 }

@@ -28,8 +28,11 @@
 // state — the crash-durability half of the control plane (see
 // internal/store and DESIGN.md §9).
 //
-// Production machinery: a bounded per-grammar admission queue answers
-// 429 + Retry-After instead of growing without bound; every request
+// Production machinery: one admission structure per grammar, its
+// weighted-fair flow (overload.go), bounds both the waiting room — a
+// full one answers 429 + Retry-After instead of growing without bound —
+// and the bank-backed worker width, under a global adaptive
+// concurrency limit shared fairly across tenants; every request
 // carries a context deadline and honors client cancellation; parser and
 // copy-buffer state is pooled with sync.Pool so the steady-state request
 // path performs zero compiles and O(1) allocations (pinned by
@@ -74,8 +77,8 @@ type Options struct {
 	// Arch parameterizes the simulated fabric the worker-pool widths are
 	// derived from (zero value = arch.DefaultConfig()).
 	Arch arch.Config
-	// QueueDepth bounds each grammar's admission queue — requests
-	// waiting for a worker slot beyond the running set. A full queue
+	// QueueDepth bounds each grammar's waiting room — requests
+	// waiting for a worker slot beyond the running set. A full room
 	// answers 429 with Retry-After (0 = DefaultQueueDepth, negative = 0:
 	// no waiting room, admission requires a free slot).
 	QueueDepth int
@@ -97,8 +100,8 @@ type Options struct {
 	TraceSample int
 	// Engine selects the request-path execution backend: EngineFast
 	// (the default; "" normalizes to it) routes pooled parses through
-	// internal/engine's lowered tables with lockstep batching,
-	// EngineSim pins everything to the cycle-accurate simulator.
+	// internal/engine's lowered tables, EngineSim pins everything to
+	// the cycle-accurate simulator.
 	// Guarded parses (Chaos with a verify mode) always run the
 	// simulator — detection needs execution hooks — and every
 	// simulator-served request is counted on
@@ -106,7 +109,7 @@ type Options struct {
 	Engine string
 	// Chaos, when non-nil, arms fault injection and the
 	// checkpoint/replay recovery layer (see ChaosOptions). nil keeps
-	// the unguarded request path; bank kills still shrink worker pools.
+	// the unguarded request path; bank kills still narrow worker widths.
 	Chaos *ChaosOptions
 	// Store, when non-nil, makes the control plane crash-durable:
 	// registry mutations are write-ahead journaled before taking effect,
@@ -186,7 +189,7 @@ type Server struct {
 	// corresponding Wait and no request slips past a completed drain.
 	drainMu  sync.RWMutex
 	draining atomic.Bool
-	stop     chan struct{} // closed by Drain; releases retiring entries
+	stop     chan struct{} // closed by Drain; releases retiring-entry waits
 	inflight sync.WaitGroup
 	traceSeq atomic.Int64
 	started  time.Time
@@ -463,12 +466,10 @@ func (s *Server) buildTenantSet(langs []*lang.Language) (*tenantSet, error) {
 	}
 	for i, l := range langs {
 		if _, dup := ts.byName[l.Name]; dup {
-			discardTenantSet(ts)
 			return nil, fmt.Errorf("serve: duplicate grammar %q", l.Name)
 		}
 		g, err := newGrammarEntry(s, l, share)
 		if err != nil {
-			discardTenantSet(ts)
 			return nil, fmt.Errorf("serve: grammar %s: %w", l.Name, err)
 		}
 		g.bankLo = i * share
@@ -484,19 +485,6 @@ func (s *Server) buildTenantSet(langs []*lang.Language) (*tenantSet, error) {
 		ts.names = append(ts.names, l.Name)
 	}
 	return ts, nil
-}
-
-// discardTenantSet releases entries that were built but never
-// published (an aborted mutation): closing each entry's stop channel
-// reclaims any parked-slot goroutines created against a degraded
-// fabric.
-func discardTenantSet(ts *tenantSet) {
-	if ts == nil {
-		return
-	}
-	for _, g := range ts.byName {
-		g.closeStop()
-	}
 }
 
 // grammar returns the named entry from the current snapshot, nil if
@@ -562,10 +550,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		// registration can race the Wait below.
 		s.adminMu.Lock()
 		s.drainMu.Lock()
-		close(s.stop) // release parked-slot and retiring-entry goroutines
-		for _, g := range s.tenants.Load().byName {
-			g.closeStop()
-		}
+		close(s.stop) // release retiring-entry goroutines
 		s.drainMu.Unlock()
 		s.adminMu.Unlock()
 	}

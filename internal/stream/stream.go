@@ -40,8 +40,7 @@ var endMarker = []core.Symbol{compile.EndCode}
 // ε-moves, then feed, for each code in order. It reports how many
 // symbols were consumed, whether the machine jammed on codes[fed], and
 // any machine fault. The default is the backend's FeedAll; SetRunner
-// replaces it, e.g. to batch the backend in lockstep with other parsers
-// sharing the grammar.
+// replaces it, e.g. to time or count the backend's work from outside.
 type Runner func(codes []core.Symbol) (fed int, jammed bool, err error)
 
 // Parser is an incremental lex+parse pipeline.
@@ -182,9 +181,8 @@ func NewParserBackend(l *lang.Language, cm *compile.Compiled, b Backend) (*Parse
 }
 
 // SetRunner replaces the backend's FeedAll as the consumer of each
-// chunk's token codes. The serving layer uses this to enroll the
-// parser's engine backend into a per-grammar lockstep batch. Call
-// before the first Write.
+// chunk's token codes, e.g. to wrap it in a measurement. Call before
+// the first Write.
 func (p *Parser) SetRunner(run Runner) { p.run = run }
 
 // Execution exposes the underlying machine execution for observers

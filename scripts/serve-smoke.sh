@@ -89,10 +89,14 @@ echo "$metrics" | grep -q '^serve_requests_total 1$' ||
     fail "/metrics missing serve_requests_total 1"
 echo "$metrics" | grep -q 'serve_phase_ns_bucket{grammar="JSON",phase="parse",le="' ||
     fail "/metrics missing per-phase latency histograms"
-# Fast-path engine dispatch surfaces: the batch-occupancy gauge and the
-# per-reason fallback counters are registered whichever backend serves.
-echo "$metrics" | grep -q '^engine_batch_occupancy ' ||
-    fail "/metrics missing engine_batch_occupancy"
+# The tenant's lexer work: after one parse, its scan-cycle counter is
+# exactly that answer's lexScanCycles.
+cycles=$(echo "$parse" | sed -n 's/.*"lexScanCycles": \([0-9]*\).*/\1/p')
+[ -n "$cycles" ] || fail "parse answer missing lexScanCycles: $parse"
+echo "$metrics" | grep -q "^serve_JSON_lexer_scan_cycles_total $cycles\$" ||
+    fail "/metrics serve_JSON_lexer_scan_cycles_total != lexScanCycles $cycles"
+# Fast-path engine dispatch surfaces: the per-reason fallback counters
+# are registered whichever backend serves.
 echo "$metrics" | grep -q '^engine_fallback_total{reason="config"} ' ||
     fail "/metrics missing engine_fallback_total{reason=...}"
 # Overload-control surfaces: sheds by reason, the AIMD concurrency
