@@ -143,7 +143,8 @@ type (
 )
 
 var (
-	// NewLexer compiles a tokenizer spec.
+	// NewLexer compiles and determinizes a tokenizer spec; a mode past
+	// the DFA state bound is an error.
 	NewLexer = lexer.New
 	// CompileRegex builds a homogeneous NFA from a pattern.
 	CompileRegex = nfa.Compile

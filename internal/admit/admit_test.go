@@ -281,6 +281,14 @@ B : A ;
 S : A S | A ;
 %lex A a
 `
+	// The 15th byte from the end must be an a: the DFA remembers the
+	// last 15 bytes, 2^15 states, past the subset-construction bound.
+	dfaBlowupGrammar := `
+%name Blowup
+%token A
+%start S
+S : A ;
+%lex A [ab]*a` + strings.Repeat("[ab]", 14) + "\n"
 	underflowMNRL := `{
   "version": "aspen-mnrl-1.0",
   "id": "underflow",
@@ -300,6 +308,7 @@ S : A S | A ;
 		{"torn-truncated-pda", FormatPDA, truncatedPDA, CheckParse},
 		{"nondeterministic-grammar", FormatGrammar, nondetGrammar, CheckDeterminism},
 		{"unbounded-depth-grammar", FormatGrammar, unboundedGrammar, CheckDepth},
+		{"dfa-blowup-grammar", FormatGrammar, dfaBlowupGrammar, CheckLimits},
 		{"underflow-mnrl", FormatMNRL, underflowMNRL, CheckUnderflow},
 		{"garbage-mnrl", FormatMNRL, `{"nodes": [{"type":`, CheckParse},
 		{"oversize", FormatPDA, strings.Repeat("# padding\n", 40000), CheckLimits},

@@ -1,20 +1,23 @@
 package admit
 
 import (
+	"strings"
 	"testing"
 
 	"aspen/internal/core"
 )
 
 // FuzzAdmitUpload throws arbitrary bytes at the admission pipeline in
-// all three formats. Two properties must hold for every input:
+// all three formats. Three properties must hold for every input:
 //
 //  1. Admit never panics — hostile uploads are rejected with
 //     diagnostics, not crashes;
 //  2. admission is never falsified by replay: if a machine IS admitted,
 //     executing it on pseudo-random inputs must never overflow the
 //     proven stack bound, never underflow, and never ε-livelock. The
-//     checker's verdict is a guarantee, not a heuristic.
+//     checker's verdict is a guarantee, not a heuristic;
+//  3. an admitted upload's lexer builds: the registry refuses a
+//     language whose Lexer fails, so admission must have refused it.
 func FuzzAdmitUpload(f *testing.F) {
 	f.Add([]byte("\x00" + pdaAlternating))
 	f.Add([]byte("\x01%name X\n%token A\n%start S\nS : S A | A ;\n%lex A a\n"))
@@ -22,6 +25,7 @@ func FuzzAdmitUpload(f *testing.F) {
 	f.Add([]byte("\x00[States]\nq0\nEnd\n[Sigma]\na\nEnd"))
 	f.Add([]byte("\x01S : ;"))
 	f.Add([]byte("\x02{"))
+	f.Add([]byte("\x01%name X\n%token A\n%start S\nS : A ;\n%lex A [ab]*a" + strings.Repeat("[ab]", 14) + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -34,6 +38,9 @@ func FuzzAdmitUpload(f *testing.F) {
 				t.Fatalf("non-Rejection error from Admit: %v", err)
 			}
 			return
+		}
+		if _, err := res.Language.Lexer(); err != nil {
+			t.Fatalf("admitted upload's lexer does not build: %v", err)
 		}
 		replayWitness(t, res, source)
 	})

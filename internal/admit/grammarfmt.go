@@ -1,6 +1,7 @@
 package admit
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -8,6 +9,7 @@ import (
 	"aspen/internal/grammar"
 	"aspen/internal/lang"
 	"aspen/internal/lexer"
+	"aspen/internal/nfa"
 )
 
 // The "grammar" upload format is the repo's LR grammar DSL extended
@@ -96,10 +98,15 @@ func admitGrammar(name string, source []byte, lim Limits) (*lang.Language, *comp
 		}
 	}
 
-	// The lexer itself must compile (bad regex patterns surface here).
+	// The lexer itself must compile (bad regex patterns surface here)
+	// and determinize within the DFA state bound.
 	if _, err := lexer.New(spec); err != nil {
+		check := CheckParse
+		if errors.Is(err, nfa.ErrTooManyStates) {
+			check = CheckLimits
+		}
 		return nil, nil, reject(name, FormatGrammar, Diagnostic{
-			Check: CheckParse, Message: fmt.Sprintf("tokenizer: %v", err)})
+			Check: check, Message: fmt.Sprintf("tokenizer: %v", err)})
 	}
 
 	l := &lang.Language{Name: name, Grammar: g, LexSpec: spec}

@@ -1,7 +1,8 @@
 package lexer
 
 import (
-	"errors"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -32,12 +33,10 @@ func modalSpec() Spec {
 // FuzzTokenizeChunkResume is the chunk-boundary resumption property:
 // feeding arbitrary input through a Scan in arbitrary pieces, then
 // Finish, must produce exactly the tokens, stats, and error — same
-// absolute position, byte, and mode — as one whole-input Tokenize. The
-// chunked side runs on both the NFA and the determinized lexer against
-// the NFA's whole-input answer, so the two runners (and their failure
-// memos) stay cycle-for-cycle equal. Run `go test
-// -fuzz=FuzzTokenizeChunkResume` to explore; seeds run on plain `go
-// test`.
+// absolute position, byte, and mode — as one whole-input Tokenize, and
+// the tokens and error of the memo-free NFA reference, naiveTokenize.
+// Run `go test -fuzz=FuzzTokenizeChunkResume` to explore; seeds run on
+// plain `go test`.
 func FuzzTokenizeChunkResume(f *testing.F) {
 	seeds := []string{
 		"if x1 + 42",
@@ -63,76 +62,57 @@ func FuzzTokenizeChunkResume(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	fast, err := New(modalSpec())
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := fast.Optimize(); err != nil {
-		f.Fatal(err)
-	}
 
 	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
 		wantToks, wantStats, wantErr := l.Tokenize(data)
-		for _, lx := range []*Lexer{l, fast} {
-			var (
-				s      Scan
-				got    []Token
-				gotErr error
-				scan   Stats
-				pos    = 0
-				rng    = seed
-			)
-			if err := s.Reset(lx, DefaultMode); err != nil {
-				t.Fatal(err)
+		refToks, refErr := naiveTokenize(modalSpec(), data)
+		if !reflect.DeepEqual(wantErr, refErr) || !slices.Equal(wantToks, refToks) {
+			t.Fatalf("whole scan %v %v, reference %v %v (input %q)", wantToks, wantErr, refToks, refErr, data)
+		}
+		var (
+			s      Scan
+			got    []Token
+			gotErr error
+			scan   Stats
+			pos    = 0
+			rng    = seed
+		)
+		if err := s.Reset(l, DefaultMode); err != nil {
+			t.Fatal(err)
+		}
+		add := func(toks []Token, st Stats, err error) {
+			got = toks
+			scan.Bytes += st.Bytes
+			scan.Tokens += st.Tokens
+			scan.ScanCycles += st.ScanCycles
+			scan.HandoffCycles += st.HandoffCycles
+			gotErr = err
+		}
+		for pos < len(data) && gotErr == nil {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			n := 1 + int((rng>>33)%7)
+			if pos+n > len(data) {
+				n = len(data) - pos
 			}
-			add := func(toks []Token, st Stats, err error) {
-				got = toks
-				scan.Bytes += st.Bytes
-				scan.Tokens += st.Tokens
-				scan.ScanCycles += st.ScanCycles
-				scan.HandoffCycles += st.HandoffCycles
-				gotErr = err
-			}
-			for pos < len(data) && gotErr == nil {
-				rng = rng*6364136223846793005 + 1442695040888963407
-				n := 1 + int((rng>>33)%7)
-				if pos+n > len(data) {
-					n = len(data) - pos
-				}
-				add(s.Feed(got, data[pos:pos+n]))
-				pos += n
-			}
-			if gotErr == nil {
-				// End of stream: the pending lexeme resolves its longest match.
-				add(s.Finish(got))
-			}
+			add(s.Feed(got, data[pos:pos+n]))
+			pos += n
+		}
+		if gotErr == nil {
+			// End of stream: the pending lexeme resolves its longest match.
+			add(s.Finish(got))
+		}
 
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("error mismatch: whole=%v chunked=%v (input %q seed %d)", wantErr, gotErr, data, seed)
-			}
-			if wantErr != nil {
-				var we, ge *Error
-				if !errors.As(wantErr, &we) || !errors.As(gotErr, &ge) {
-					t.Fatalf("non-lexer error: whole=%v chunked=%v", wantErr, gotErr)
-				}
-				if we.Pos != ge.Pos || we.Byte != ge.Byte || we.Mode != ge.Mode {
-					t.Fatalf("error diverged: whole=%+v chunked=%+v (input %q seed %d)", we, ge, data, seed)
-				}
-			}
-			if len(got) != len(wantToks) {
-				t.Fatalf("token count: chunked=%d whole=%d (input %q seed %d)", len(got), len(wantToks), data, seed)
-			}
-			for i := range got {
-				if got[i] != wantToks[i] {
-					t.Fatalf("token %d: chunked=%+v whole=%+v (input %q seed %d)", i, got[i], wantToks[i], data, seed)
-				}
-			}
-			// Every stat is chunking-invariant: the scan resumes its run
-			// across boundaries instead of re-presenting the pending
-			// lexeme, so even scan cycles match exactly.
-			if wantErr == nil && scan != wantStats {
-				t.Fatalf("stats diverged: chunked=%+v whole=%+v (input %q seed %d)", scan, wantStats, data, seed)
-			}
+		if !reflect.DeepEqual(gotErr, wantErr) {
+			t.Fatalf("error mismatch: whole=%v chunked=%v (input %q seed %d)", wantErr, gotErr, data, seed)
+		}
+		if !slices.Equal(got, wantToks) {
+			t.Fatalf("tokens: chunked=%v whole=%v (input %q seed %d)", got, wantToks, data, seed)
+		}
+		// Every stat is chunking-invariant: the scan resumes its run
+		// across boundaries instead of re-presenting the pending
+		// lexeme, so even scan cycles match exactly.
+		if wantErr == nil && scan != wantStats {
+			t.Fatalf("stats diverged: chunked=%+v whole=%+v (input %q seed %d)", scan, wantStats, data, seed)
 		}
 	})
 }

@@ -23,28 +23,20 @@ func intoSpec(t *testing.T) *Lexer {
 // caller's slice.
 func TestTokenizeIntoEquivalence(t *testing.T) {
 	input := []byte("abc 123 de 4 fgh")
-	for _, optimize := range []bool{false, true} {
-		l := intoSpec(t)
-		if optimize {
-			if err := l.Optimize(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rToks, rStats, rMode, rErr := l.TokenizeResume(input, DefaultMode)
-		iToks, iStats, iMode, iErr := l.TokenizeResumeInto(make([]Token, 0, 1), input, DefaultMode)
-		if !reflect.DeepEqual(rToks, iToks) || rStats != iStats || rMode != iMode ||
-			(rErr == nil) != (iErr == nil) {
-			t.Errorf("optimize=%v: resume-into mismatch", optimize)
-		}
+	l := intoSpec(t)
+	rToks, rStats, rMode, rErr := l.TokenizeResume(input, DefaultMode)
+	iToks, iStats, iMode, iErr := l.TokenizeResumeInto(make([]Token, 0, 1), input, DefaultMode)
+	if !reflect.DeepEqual(rToks, iToks) || rStats != iStats || rMode != iMode ||
+		(rErr == nil) != (iErr == nil) {
+		t.Errorf("resume-into mismatch")
+	}
 
-		sToks, sStats, err := scanAll(t, l, input, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(rToks, sToks) || rStats != sStats {
-			t.Errorf("optimize=%v: chunked scan mismatch:\nwant %v %+v\ngot  %v %+v",
-				optimize, rToks, rStats, sToks, sStats)
-		}
+	sToks, sStats, err := scanAll(t, l, input, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rToks, sToks) || rStats != sStats {
+		t.Errorf("chunked scan mismatch:\nwant %v %+v\ngot  %v %+v", rToks, rStats, sToks, sStats)
 	}
 }
 
@@ -52,9 +44,6 @@ func TestTokenizeIntoEquivalence(t *testing.T) {
 // results when the caller re-slices, and must reuse capacity.
 func TestTokenizeIntoReuse(t *testing.T) {
 	l := intoSpec(t)
-	if err := l.Optimize(); err != nil {
-		t.Fatal(err)
-	}
 	var s Scan
 	if err := s.Reset(l, DefaultMode); err != nil {
 		t.Fatal(err)
@@ -80,47 +69,40 @@ func TestTokenizeIntoReuse(t *testing.T) {
 	}
 }
 
-// Steady-state scans allocate nothing per lexeme: a DFA scan needs no
-// runner at all, and an NFA scan draws its runner from the mode's pool.
+// Steady-state scans allocate nothing per lexeme: the scan steps the
+// lexer's shared tables with its run in locals.
 func TestTokenizeIntoSteadyStateAllocs(t *testing.T) {
 	input := []byte("abc 123 de 4 fgh 55 iii 666 jj 7 kkk 88 l 9 mm 10")
-	for _, optimize := range []bool{false, true} {
-		l := intoSpec(t)
-		if optimize {
-			if err := l.Optimize(); err != nil {
-				t.Fatal(err)
-			}
+	l := intoSpec(t)
+	var buf []Token
+	whole := func() {
+		toks, _, _, err := l.TokenizeResumeInto(buf[:0], input, DefaultMode)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var buf []Token
-		whole := func() {
-			toks, _, _, err := l.TokenizeResumeInto(buf[:0], input, DefaultMode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf = toks
+		buf = toks
+	}
+	var s Scan
+	chunked := func() {
+		if err := s.Reset(l, DefaultMode); err != nil {
+			t.Fatal(err)
 		}
-		var s Scan
-		chunked := func() {
-			if err := s.Reset(l, DefaultMode); err != nil {
-				t.Fatal(err)
-			}
-			toks, _, err := s.Feed(buf[:0], input[:20])
-			if err == nil {
-				toks, _, err = s.Feed(toks, input[20:])
-			}
-			if err == nil {
-				toks, _, err = s.Finish(toks)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf = toks
+		toks, _, err := s.Feed(buf[:0], input[:20])
+		if err == nil {
+			toks, _, err = s.Feed(toks, input[20:])
 		}
-		for name, f := range map[string]func(){"whole": whole, "chunked": chunked} {
-			f() // warm-up: grow buf, populate the runner pool
-			if allocs := testing.AllocsPerRun(500, f); allocs > 1 {
-				t.Errorf("optimize=%v %s: steady-state scan = %v allocs, want ≤ 1", optimize, name, allocs)
-			}
+		if err == nil {
+			toks, _, err = s.Finish(toks)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = toks
+	}
+	for name, f := range map[string]func(){"whole": whole, "chunked": chunked} {
+		f() // warm-up: grow buf
+		if allocs := testing.AllocsPerRun(500, f); allocs > 1 {
+			t.Errorf("%s: steady-state scan = %v allocs, want ≤ 1", name, allocs)
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"sync"
 
 	"aspen/internal/nfa"
 	"aspen/internal/telemetry"
@@ -95,16 +94,14 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("lexer %s: no rule matches at offset %d (byte %q, mode %s)", e.Spec, e.Pos, e.Byte, e.Mode)
 }
 
-// modeNFA is the compiled automaton of one mode: rule indices are mapped
-// to per-mode report codes.
+// modeNFA is the compiled automaton of one mode: its NFA determinized,
+// with rule indices mapped to per-mode report codes.
 type modeNFA struct {
 	name  string
 	idx   int // position in Lexer.order
-	n     *nfa.NFA
-	dfa   *nfa.DFA // built by Optimize; the scan runs it instead of n
-	acc   []int32  // per DFA state: the accepted rule index, or -1
-	rules []int    // report code → rule index
-	runs  sync.Pool
+	dfa   *nfa.DFA
+	acc   []int32 // per DFA state: the accepted rule index, or -1
+	rules []int   // report code → rule index
 }
 
 // action is what the scan does once a rule's lexeme is decided.
@@ -113,32 +110,22 @@ type action struct {
 	emit bool     // false for a skip rule
 }
 
-// getRun returns a rewound NFA runner for a mode without a DFA, reusing
-// a pooled one when available. A Lexer is shared by every parser of its
-// Language (concurrent scans under the serving path), hence a sync.Pool
-// rather than a cached field.
-func (mn *modeNFA) getRun() *nfa.Run {
-	if v := mn.runs.Get(); v != nil {
-		r := v.(*nfa.Run)
-		r.Reset()
-		return r
-	}
-	return mn.n.NewRun()
-}
-
-// Lexer is a compiled tokenizer.
+// Lexer is a compiled tokenizer. It is immutable after New, so one
+// Lexer serves any number of concurrent scans.
 type Lexer struct {
 	spec  Spec
 	modes map[string]*modeNFA
 	order []*modeNFA // modes sorted by name
 	acts  []action   // per rule
-
-	fpOnce sync.Once
-	fp     uint64
+	fp    uint64
 }
 
 // New compiles a spec. All patterns must be non-nullable (a rule matching
-// the empty string could never advance the input).
+// the empty string could never advance the input). Each mode's NFA is
+// determinized (subset construction) so scanning costs one table lookup
+// per byte; the DFA dies on exactly the byte the hardware NFA exhausts
+// its active states, so the cycle model is unchanged. A mode whose DFA
+// would pass the state bound is an error wrapping nfa.ErrTooManyStates.
 func New(spec Spec) (*Lexer, error) {
 	byMode := map[string][]int{}
 	for i, r := range spec.Rules {
@@ -177,7 +164,18 @@ func New(spec Spec) (*Lexer, error) {
 			return nil, fmt.Errorf("lexer %s mode %s: rule %q matches the empty string",
 				spec.Name, m, spec.Rules[idxs[n.EmptyReport]].Name)
 		}
-		mn := &modeNFA{name: m, idx: len(l.order), n: n, rules: idxs}
+		d, err := n.Determinize()
+		if err != nil {
+			return nil, fmt.Errorf("lexer %s mode %s: %w", spec.Name, m, err)
+		}
+		acc := make([]int32, len(d.Report))
+		for q, r := range d.Report {
+			acc[q] = -1
+			if r >= 0 {
+				acc[q] = int32(idxs[r])
+			}
+		}
+		mn := &modeNFA{name: m, idx: len(l.order), dfa: d, acc: acc, rules: idxs}
 		l.modes[m] = mn
 		l.order = append(l.order, mn)
 	}
@@ -185,6 +183,7 @@ func New(spec Spec) (*Lexer, error) {
 	for i, r := range spec.Rules {
 		l.acts[i] = action{next: l.modes[r.SetMode], emit: !r.Skip}
 	}
+	l.fp = l.fingerprint()
 	return l, nil
 }
 
@@ -194,48 +193,24 @@ func (l *Lexer) NumModes() int { return len(l.modes) }
 // RuleName returns the token name of rule i (a Token's Rule).
 func (l *Lexer) RuleName(i int) string { return l.spec.Rules[i].Name }
 
-// Optimize determinizes each mode's NFA (subset construction) so
-// software scanning costs one table lookup per byte, and derives the
-// per-state accepted rule the scan loop reads instead of the report
-// map. Tokenization behaviour is unchanged — the DFA preserves report
-// codes and rule priority — and the hardware model is unaffected
-// (ASPEN runs the NFA natively). The DFA's state numbering and tables
-// are those Fingerprint hashes; acc is derived from them. Safe to call
-// more than once, but not concurrently with a scan or with Fingerprint.
-func (l *Lexer) Optimize() error {
-	l.fpOnce = sync.Once{} // the tables change
-	for _, mn := range l.order {
-		if mn.dfa != nil {
-			continue
-		}
-		d, err := mn.n.Determinize()
-		if err != nil {
-			return fmt.Errorf("lexer %s mode %s: %w", l.spec.Name, mn.name, err)
-		}
-		mn.acc = make([]int32, len(d.Report))
-		for q, r := range d.Report {
-			mn.acc[q] = -1
-			if r >= 0 {
-				mn.acc[q] = int32(mn.rules[r])
-			}
-		}
-		mn.dfa = d
-	}
-	return nil
-}
-
 // Fingerprint is a deterministic hash of the compiled mode tables: the
-// rules, each mode's report map, and the DFA or NFA the mode runs. A
-// Scan's saved run configuration holds raw DFA state IDs or NFA active
-// sets, which mean something only on a lexer with the same fingerprint.
-func (l *Lexer) Fingerprint() uint64 {
-	l.fpOnce.Do(func() { l.fp = l.fingerprint() })
-	return l.fp
-}
+// rules, each mode's report map, and its DFA. A Scan's saved run
+// configuration holds raw DFA state IDs, which mean something only on a
+// lexer with the same fingerprint.
+func (l *Lexer) Fingerprint() uint64 { return l.fp }
 
 func (l *Lexer) fingerprint() uint64 {
-	var b []byte
-	u32 := func(v int) { b = binary.LittleEndian.AppendUint32(b, uint32(v)) }
+	// New fingerprints every lexer it builds; hashing through a fixed
+	// buffer keeps that from allocating a copy of the tables.
+	h := fnv.New64a()
+	b := make([]byte, 0, 4096)
+	u32 := func(v int) {
+		if len(b) > cap(b)-4 {
+			h.Write(b)
+			b = b[:0]
+		}
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+	}
 	str := func(s string) { u32(len(s)); b = append(b, s...) }
 	for _, r := range l.spec.Rules {
 		str(r.Name)
@@ -252,39 +227,16 @@ func (l *Lexer) fingerprint() uint64 {
 		for _, r := range mn.rules {
 			u32(r)
 		}
-		if d := mn.dfa; d != nil {
-			u32(int(d.Start))
-			u32(len(d.Report))
-			for _, v := range d.Trans {
-				u32(int(v))
-			}
-			for _, v := range d.Report {
-				u32(int(v))
-			}
-			continue
+		d := mn.dfa
+		u32(int(d.Start))
+		u32(len(d.Report))
+		for _, v := range d.Trans {
+			u32(int(v))
 		}
-		u32(-1)
-		u32(len(mn.n.States))
-		for _, st := range mn.n.States {
-			for _, w := range st.Match {
-				b = binary.LittleEndian.AppendUint64(b, w)
-			}
-			if st.Accept {
-				u32(int(st.Report))
-			} else {
-				u32(-1)
-			}
-			u32(len(st.Succ))
-			for _, t := range st.Succ {
-				u32(int(t))
-			}
-		}
-		u32(len(mn.n.Starts))
-		for _, t := range mn.n.Starts {
-			u32(int(t))
+		for _, v := range d.Report {
+			u32(int(v))
 		}
 	}
-	h := fnv.New64a()
 	h.Write(b)
 	return h.Sum64()
 }
@@ -310,7 +262,6 @@ func (l *Lexer) TokenizeResumeInto(dst []Token, input []byte, mode string) ([]To
 		return dst, Stats{Bytes: len(input)}, mode, err
 	}
 	toks, stats, err := s.scan(dst, input, true)
-	s.release()
 	return toks, stats, s.Mode(), err
 }
 

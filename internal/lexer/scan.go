@@ -5,10 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
-
-	"aspen/internal/core"
-	"aspen/internal/nfa"
 )
 
 // Scan is one resumable tokenization run over a stream, the software
@@ -23,9 +19,9 @@ import (
 // lookahead of more than one byte past the last accept dies, the run
 // configurations it passed through are memoized as failed, and a later
 // lexeme reaching the same configuration at the same position stops
-// there instead of scanning on. The memo is keyed on the whole
-// configuration — DFA state, or NFA active set — so DFA and NFA scans
-// stay cycle-for-cycle equal.
+// there instead of scanning on. The memo is keyed on the mode's DFA
+// state, which stands for one NFA active set, so the scan cycles are
+// those of the hardware NFA with the same memo.
 //
 // A Scan is bound to one Lexer by Reset and is not safe for concurrent
 // use.
@@ -38,17 +34,14 @@ type Scan struct {
 	// through pos; pos == start means no byte of it is scanned yet.
 	// After a successful Feed, pos == end.
 	start, pos int
-	lead       byte     // input[start], for the no-match error
-	state      int32    // run configuration in a DFA mode
-	nrun       *nfa.Run // run configuration in an NFA mode
-	nrunMode   *modeNFA // the mode nrun belongs to
+	lead       byte  // input[start], for the no-match error
+	state      int32 // the run's DFA state
 
-	// The lexeme's last accept (accEnd < 0: none yet) and the run
-	// configuration there, from which a failed lookahead is replayed
-	// into the memo.
-	accEnd, accRule int
-	accState        int32
-	accSet          nfa.ActiveSet
+	// The lexeme's last accept (accEnd < 0: none yet) and the DFA state
+	// there, which names the accepted rule and from which a failed
+	// lookahead is replayed into the memo.
+	accEnd   int
+	accState int32
 
 	// kept holds input[accEnd:end] while an accept is pending.
 	kept []byte
@@ -57,16 +50,13 @@ type Scan struct {
 	// entry lies past memoMax (-1: empty).
 	memo    map[memoKey]struct{}
 	memoMax int
-	keyBuf  []byte
 }
 
-// memoKey is one failed configuration: a DFA state, or (state -1) an
-// NFA active set in its byte form.
+// memoKey is one failed configuration.
 type memoKey struct {
 	pos   int
 	mode  int32
 	state int32
-	set   string
 }
 
 // Reset binds s to l and rewinds it to the start of a stream in the
@@ -76,11 +66,7 @@ func (s *Scan) Reset(l *Lexer, mode string) error {
 	if !ok {
 		return fmt.Errorf("lexer %s: unknown mode %q", l.spec.Name, mode)
 	}
-	if s.l != l {
-		s.release()
-		s.l = l
-	}
-	s.mode = mn
+	s.l, s.mode = l, mn
 	s.end, s.start, s.pos = 0, 0, 0
 	s.accEnd = -1
 	s.kept = s.kept[:0]
@@ -106,23 +92,6 @@ func (s *Scan) Feed(dst []Token, chunk []byte) ([]Token, Stats, error) {
 // into, is resolved with end-of-input semantics.
 func (s *Scan) Finish(dst []Token) ([]Token, Stats, error) {
 	return s.scan(dst, nil, true)
-}
-
-// release returns a pooled NFA runner.
-func (s *Scan) release() {
-	if s.nrun != nil {
-		s.nrunMode.runs.Put(s.nrun)
-		s.nrun, s.nrunMode = nil, nil
-	}
-}
-
-// runner returns the NFA runner for mode mn.
-func (s *Scan) runner(mn *modeNFA) *nfa.Run {
-	if s.nrunMode != mn {
-		s.release()
-		s.nrun, s.nrunMode = mn.getRun(), mn
-	}
-	return s.nrun
 }
 
 func (s *Scan) clearMemo() {
@@ -153,10 +122,8 @@ func (in *span) at(x int) byte {
 
 // scan steps the run through the kept bytes and then chunk, the stream
 // bytes [s.end, s.end+len(chunk)), emitting each lexeme as soon as its
-// maximal munch is decided. A DFA mode runs the compiled loop, runDFA,
-// one segment at a time; an NFA mode (a lexer Optimize could not
-// determinize, the hardware model) steps its pooled runner one lexeme
-// at a time. With eof the stream ends after chunk.
+// maximal munch is decided by the compiled loop, runDFA, one segment at
+// a time. With eof the stream ends after chunk.
 func (s *Scan) scan(dst []Token, chunk []byte, eof bool) ([]Token, Stats, error) {
 	st := Stats{Bytes: len(chunk)}
 	in := span{old: s.kept, oldAt: s.end - len(s.kept), chunk: chunk, base: s.end}
@@ -165,12 +132,7 @@ func (s *Scan) scan(dst []Token, chunk []byte, eof bool) ([]Token, Stats, error)
 	for s.pos < end || eof && s.pos > s.start {
 		seg, at := in.seg(s.pos)
 		var err error
-		if s.mode.dfa != nil {
-			dst, err = s.runDFA(dst, &in, seg, at, eof && at+len(seg) == end, &st)
-		} else if s.pos == end || s.stepNFA(seg[s.pos-at:], &st) {
-			dst, err = s.endNFA(dst, &in, &st)
-		}
-		if err != nil {
+		if dst, err = s.runDFA(dst, &in, seg, at, eof && at+len(seg) == end, &st); err != nil {
 			return dst, st, err
 		}
 	}
@@ -187,13 +149,12 @@ func (s *Scan) scan(dst []Token, chunk []byte, eof bool) ([]Token, Stats, error)
 	return dst, st, nil
 }
 
-// runDFA is the compiled scan loop of a DFA mode. It runs lexeme after
-// lexeme through seg, the stream bytes from at on that hold s.pos, and
-// emits each token inline, with the run (state, lexeme start, last
-// accept) in locals, written back to s once when it returns: when seg
-// ends with a lexeme pending, the run backtracks to before seg, a rule
-// switches to a mode without a DFA, or on a lex error. With last, seg
-// ends the stream.
+// runDFA is the compiled scan loop. It runs lexeme after lexeme through
+// seg, the stream bytes from at on that hold s.pos, and emits each token
+// inline, with the run (state, lexeme start, last accept) in locals,
+// written back to s once when it returns: when seg ends with a lexeme
+// pending, the run backtracks to before seg, or on a lex error. With
+// last, seg ends the stream.
 func (s *Scan) runDFA(dst []Token, in *span, seg []byte, at int, last bool, st *Stats) ([]Token, error) {
 	mn := s.mode
 	d := mn.dfa
@@ -252,10 +213,7 @@ func (s *Scan) runDFA(dst []Token, in *span, seg []byte, at int, last bool, st *
 			memoTo = -1 - at
 		}
 		if next := act.next; next != nil && next != mn {
-			if mn = next; mn.dfa == nil {
-				break
-			}
-			d = mn.dfa
+			mn, d = next, next.dfa
 			trans, acc = d.Trans, mn.acc
 		}
 		if i < 0 {
@@ -265,7 +223,7 @@ func (s *Scan) runDFA(dst []Token, in *span, seg []byte, at int, last bool, st *
 	}
 	s.mode, s.state, s.start, s.pos, s.accEnd = mn, q, at+start, at+i, -1
 	if ae > start {
-		s.accEnd, s.accRule, s.accState = at+ae, int(acc[accState]), accState
+		s.accEnd, s.accState = at+ae, accState
 	}
 	if start >= 0 && start < len(seg) {
 		s.lead = seg[start]
@@ -279,94 +237,23 @@ func (s *Scan) runDFA(dst []Token, in *span, seg []byte, at int, last bool, st *
 	return dst, nil
 }
 
-// stepNFA steps an NFA mode's run through seg, the bytes from s.pos on.
-// It reports whether the run stopped before the end of seg.
-func (s *Scan) stepNFA(seg []byte, st *Stats) (stopped bool) {
-	mn := s.mode
-	r := s.runner(mn)
-	if s.pos == s.start {
-		r.Reset()
-		s.lead = seg[0]
-	}
-	memoTo := s.memoMax - s.pos // steps n <= memoTo may land on a failed entry
-	n := 0
-	for n < len(seg) {
-		alive, rep := r.Step(core.Symbol(seg[n]))
-		n++
-		if rep >= 0 {
-			s.accEnd, s.accRule = s.pos+n, mn.rules[rep]
-			s.accSet = append(s.accSet[:0], r.Active()...)
-		} else if !alive || n <= memoTo && s.failed(s.setKey(s.pos+n, mn, r.Active())) {
-			stopped = true
-			break
-		}
-	}
-	s.pos += n
-	st.ScanCycles += n
-	return stopped
-}
-
-// endNFA ends an NFA mode's stopped run at s.pos (dead, failed memo
-// entry, or end of stream): its longest accept is the lexeme.
-func (s *Scan) endNFA(dst []Token, in *span, st *Stats) ([]Token, error) {
-	if s.accEnd < 0 {
-		return dst, &Error{Spec: s.l.spec.Name, Pos: s.start, Byte: s.lead, Mode: s.mode.name}
-	}
-	if s.pos-s.accEnd > 1 {
-		s.remember(in, s.mode, s.accEnd, 0, s.pos-1)
-	}
-	act := s.l.acts[s.accRule]
-	st.Tokens++
-	if act.emit {
-		dst = append(dst, Token{Rule: s.accRule, Start: s.start, End: s.accEnd})
-		st.HandoffCycles += 2
-	}
-	if act.next != nil {
-		s.mode = act.next
-	}
-	s.start, s.pos, s.accEnd = s.accEnd, s.accEnd, -1
-	if s.memoMax >= 0 && s.start >= s.memoMax {
-		s.clearMemo()
-	}
-	return dst, nil
-}
-
 func (s *Scan) failed(k memoKey) bool {
 	_, ok := s.memo[k]
 	return ok
 }
 
-// setKey is the memo key of an NFA configuration of mode mn.
-func (s *Scan) setKey(pos int, mn *modeNFA, set nfa.ActiveSet) memoKey {
-	s.keyBuf = s.keyBuf[:0]
-	for _, w := range set {
-		s.keyBuf = binary.LittleEndian.AppendUint64(s.keyBuf, w)
-	}
-	return memoKey{pos: pos, mode: int32(mn.idx), state: -1, set: string(s.keyBuf)}
-}
-
-// remember memoizes the configurations a run of mode mn passed through
+// remember memoizes the DFA states a run of mode mn passed through
 // after its last accept at accEnd, up to last: none of them reaches
-// another accept. It replays them from the accept's configuration
-// (accState, or s.accSet in an NFA mode), so the common one-byte
-// lookahead, which the caller skips, costs nothing.
+// another accept. It replays them from the accept's state, so the
+// common one-byte lookahead, which the caller skips, costs nothing.
 func (s *Scan) remember(in *span, mn *modeNFA, accEnd int, accState int32, last int) {
 	if s.memo == nil {
 		s.memo = map[memoKey]struct{}{}
 	}
-	if d := mn.dfa; d != nil {
-		q := accState
-		for x := accEnd; x < last && q >= 0; x++ {
-			q = d.Trans[int(q)<<8|int(in.at(x))]
-			s.memo[memoKey{pos: x + 1, mode: int32(mn.idx), state: q}] = struct{}{}
-		}
-	} else {
-		r := s.runner(mn)
-		r.Resume(s.accSet)
-		for x := accEnd; x < last; x++ {
-			r.Step(core.Symbol(in.at(x)))
-			s.memo[s.setKey(x+1, mn, r.Active())] = struct{}{}
-		}
+	q := accState
+	for x := accEnd; x < last && q >= 0; x++ {
+		q = mn.dfa.Trans[int(q)<<8|int(in.at(x))]
+		s.memo[memoKey{pos: x + 1, mode: int32(mn.idx), state: q}] = struct{}{}
 	}
 	s.memoMax = max(s.memoMax, last)
 }
@@ -376,44 +263,34 @@ func (s *Scan) remember(in *span, mn *modeNFA, accEnd int, accState int32, last 
 var errScanEncoding = errors.New("lexer: malformed scan state")
 
 // AppendBinary appends the state of a scan whose last Feed succeeded to
-// b: the mode, the pending lexeme's start and first byte, the run
-// configuration, the last accept and its configuration, the kept bytes,
-// and the live memo entries in canonical order. A configuration is a
-// word list: the DFA state, or the NFA active set. The run has scanned
-// through End; offsets are stored as distances back from it, and the
-// caller saves End beside the state.
+// b: the mode, the pending lexeme's start and first byte, the run's DFA
+// state, the last accept with its rule and state, the kept bytes, and
+// the live memo entries in canonical order. A state is written as a
+// one-word list (none before the lexeme's first byte). The run has
+// scanned through End; offsets are stored as distances back from it,
+// and the caller saves End beside the state.
 func (s *Scan) AppendBinary(b []byte) []byte {
 	u32 := func(v int) { b = binary.LittleEndian.AppendUint32(b, uint32(v)) }
 	back := func(x int) { b = binary.LittleEndian.AppendUint64(b, uint64(s.end-x)) }
-	words := func(ws ...uint64) {
-		u32(len(ws))
-		for _, w := range ws {
-			b = binary.LittleEndian.AppendUint64(b, w)
-		}
+	state := func(q int32) {
+		u32(1)
+		b = binary.LittleEndian.AppendUint64(b, uint64(q))
 	}
-	dfa := s.mode.dfa != nil
 	u32(s.mode.idx)
 	back(s.start)
 	b = append(b, s.lead)
-	switch {
-	case s.pos == s.start:
-		words()
-	case dfa:
-		words(uint64(s.state))
-	default:
-		words(s.runner(s.mode).Active()...)
+	if s.pos == s.start {
+		u32(0)
+	} else {
+		state(s.state)
 	}
 	if s.accEnd < 0 {
 		b = append(b, 0)
 	} else {
 		b = append(b, 1)
 		back(s.accEnd)
-		u32(s.accRule)
-		if dfa {
-			words(uint64(s.accState))
-		} else {
-			words(s.accSet...)
-		}
+		u32(int(s.mode.acc[s.accState]))
+		state(s.accState)
 	}
 	u32(len(s.kept))
 	b = append(b, s.kept...)
@@ -430,21 +307,13 @@ func (s *Scan) AppendBinary(b []byte) []byte {
 		if x.mode != y.mode {
 			return int(x.mode - y.mode)
 		}
-		if x.state != y.state {
-			return int(x.state - y.state)
-		}
-		return strings.Compare(x.set, y.set)
+		return int(x.state - y.state)
 	})
 	u32(len(live))
 	for _, k := range live {
 		back(k.pos)
 		u32(int(k.mode))
-		if k.state >= 0 {
-			words(uint64(k.state))
-		} else { // the key holds the set's words in this byte form
-			u32(len(k.set) / 8)
-			b = append(b, k.set...)
-		}
+		state(k.state)
 	}
 	return b
 }
@@ -482,43 +351,15 @@ func (s *Scan) Resume(l *Lexer, data []byte, end int) error {
 		}
 		return l.order[i], true
 	}
-	// conf reads one configuration of mn, which must be live and past
-	// the first byte: a DFA state (set nil), or an NFA active set in
-	// its word form (state -1).
-	conf := func(mn *modeNFA) (state int32, set []byte, ok bool) {
-		n, ok := u32()
-		if !ok || n > len(data)/8 {
-			return 0, nil, false
+	// state reads one DFA state of mn, which must be live and past the
+	// first byte.
+	state := func(mn *modeNFA) (int32, bool) {
+		if n, ok := u32(); !ok || n != 1 || len(data) < 8 {
+			return 0, false
 		}
-		raw := data[:8*n]
-		data = data[8*n:]
-		if d := mn.dfa; d != nil {
-			if n != 1 {
-				return 0, nil, false
-			}
-			q := binary.LittleEndian.Uint64(raw)
-			return int32(q), nil, q != uint64(d.Start) && q < uint64(d.NumStates())
-		}
-		states := mn.n.NumStates()
-		if n != (states+63)/64 {
-			return 0, nil, false
-		}
-		live := false
-		for i := 0; i < n; i++ {
-			w := binary.LittleEndian.Uint64(raw[8*i:])
-			if i == n-1 && states%64 != 0 && w>>(states%64) != 0 {
-				return 0, nil, false // a state the NFA does not have
-			}
-			live = live || w != 0
-		}
-		return -1, raw, live
-	}
-	activeSet := func(dst nfa.ActiveSet, raw []byte) nfa.ActiveSet {
-		dst = dst[:0]
-		for i := 0; i < len(raw); i += 8 {
-			dst = append(dst, binary.LittleEndian.Uint64(raw[i:]))
-		}
-		return dst
+		q := binary.LittleEndian.Uint64(data)
+		data = data[8:]
+		return int32(q), q != uint64(mn.dfa.Start) && q < uint64(mn.dfa.NumStates())
 	}
 
 	mn, ok := mode()
@@ -534,12 +375,8 @@ func (s *Scan) Resume(l *Lexer, data []byte, end int) error {
 	}
 	s.lead, data = data[0], data[1:]
 	if s.pos > s.start {
-		q, raw, ok := conf(mn)
-		if !ok {
+		if s.state, ok = state(mn); !ok {
 			return bad("run configuration")
-		}
-		if s.state = q; raw != nil {
-			s.runner(mn).Resume(activeSet(nil, raw))
 		}
 	} else if n, ok := u32(); !ok || n != 0 {
 		return bad("run configuration")
@@ -553,14 +390,15 @@ func (s *Scan) Resume(l *Lexer, data []byte, end int) error {
 		if s.accEnd, ok = at(); !ok || s.accEnd <= s.start || s.accEnd > s.pos {
 			return bad("accept end")
 		}
-		if s.accRule, ok = u32(); !ok || !slices.Contains(mn.rules, s.accRule) {
+		rule, ok := u32()
+		if !ok {
 			return bad("accept rule")
 		}
-		q, raw, ok := conf(mn)
-		if !ok {
+		// The state must accept the saved rule: Finish emits the rule
+		// the state names.
+		if s.accState, ok = state(mn); !ok || int(mn.acc[s.accState]) != rule {
 			return bad("accept configuration")
 		}
-		s.accState, s.accSet = q, activeSet(s.accSet, raw)
 	}
 	n, ok := u32()
 	if !ok || n > len(data) || (hasAcc && n != s.pos-s.accEnd) || (!hasAcc && n != 0) {
@@ -580,14 +418,14 @@ func (s *Scan) Resume(l *Lexer, data []byte, end int) error {
 		if !ok {
 			return bad("memo mode")
 		}
-		q, raw, ok := conf(m)
+		q, ok := state(m)
 		if !ok {
 			return bad("memo configuration")
 		}
 		if s.memo == nil {
 			s.memo = map[memoKey]struct{}{}
 		}
-		s.memo[memoKey{pos: pos, mode: int32(m.idx), state: q, set: string(raw)}] = struct{}{}
+		s.memo[memoKey{pos: pos, mode: int32(m.idx), state: q}] = struct{}{}
 		s.memoMax = max(s.memoMax, pos)
 	}
 	if len(data) != 0 {

@@ -1,6 +1,7 @@
 package nfa
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -8,11 +9,12 @@ import (
 	"aspen/internal/core"
 )
 
-// DFA is a determinized homogeneous NFA built by subset construction —
-// the software fast path for lexing (one table lookup per byte instead
-// of an active-set sweep). ASPEN's hardware runs the NFA directly (the
-// active-state vector is free in SRAM); the DFA exists for the Go-side
-// tooling and as a determinization oracle in tests.
+// DFA is a determinized homogeneous NFA built by subset construction.
+// The software lexer runs it: one table lookup per byte instead of an
+// active-set sweep. ASPEN's hardware runs the NFA directly (the
+// active-state vector is free in SRAM). Each DFA state stands for one
+// NFA active set and the dead state for the empty one, so a DFA run
+// dies on exactly the cycle the NFA's would.
 type DFA struct {
 	Name string
 	// Trans is the dense transition table: Trans[state*256+symbol] is
@@ -31,6 +33,10 @@ type DFA struct {
 // maxDFAStates bounds subset construction (lexer machines are small; a
 // blow-up indicates a pathological pattern set).
 const maxDFAStates = 1 << 14
+
+// ErrTooManyStates is wrapped by Determinize's error when subset
+// construction passes maxDFAStates.
+var ErrTooManyStates = errors.New("nfa: determinization exceeded the DFA state bound")
 
 // Determinize builds the DFA. The NFA's anchored-run semantics are
 // preserved: DFA state 0 corresponds to "no input yet" with the start
@@ -74,7 +80,7 @@ func (n *NFA) Determinize() (*DFA, error) {
 			return id, nil
 		}
 		if len(subsets) >= maxDFAStates {
-			return -1, fmt.Errorf("nfa: determinization exceeded %d states", maxDFAStates)
+			return -1, fmt.Errorf("%w of %d states", ErrTooManyStates, maxDFAStates)
 		}
 		id := int32(len(subsets))
 		index[k] = id

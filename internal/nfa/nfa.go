@@ -130,17 +130,6 @@ func (r *Run) Reset() {
 	r.Steps = 0
 }
 
-// Active returns the run's active-state vector after the last Step. It
-// aliases the run's storage: copy it to keep it past the next Step.
-func (r *Run) Active() ActiveSet { return r.active }
-
-// Resume loads a vector taken from Active on a run of the same NFA, so
-// the run continues from that configuration mid-match.
-func (r *Run) Resume(a ActiveSet) {
-	copy(r.active, a)
-	r.first = false
-}
-
 // Step consumes one symbol. It returns whether any state remains active
 // and the smallest report code among accept states activated this cycle
 // (or -1 if none) — the hardware's report register update.

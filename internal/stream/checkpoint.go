@@ -48,9 +48,8 @@ type Checkpoint struct {
 	Machine uint64
 
 	// Lexer is the lexer.Fingerprint of the lexer that took the
-	// snapshot. Scan holds raw DFA state IDs or NFA active sets, so
-	// Restore refuses a different lexer build with ErrMachineMismatch
-	// too.
+	// snapshot. Scan holds raw DFA state IDs, so Restore refuses a
+	// different lexer build with ErrMachineMismatch too.
 	Lexer uint64
 
 	// Digest is the stream-level FNV-1a seal, written by
