@@ -37,13 +37,19 @@ import (
 )
 
 // gitCommit best-effort identifies the working tree for trajectory
-// metadata; empty when git or the repo is unavailable.
+// metadata: HEAD, suffixed "-dirty" when tracked files differ from it,
+// since the numbers then come from a tree no commit names; empty when
+// git or the repo is unavailable.
 func gitCommit() string {
 	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
 	if err != nil {
 		return ""
 	}
-	return strings.TrimSpace(string(out))
+	commit := strings.TrimSpace(string(out))
+	if exec.Command("git", "diff", "--quiet", "HEAD").Run() != nil {
+		commit += "-dirty"
+	}
+	return commit
 }
 
 func main() {

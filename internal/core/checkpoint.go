@@ -113,23 +113,43 @@ func (e *Execution) Checkpoint(cp *Checkpoint) {
 	cp.Seal()
 }
 
+// Check verifies the seal and that the snapshot fits an execution of a
+// machine with numStates states and the given stack depth, the checks
+// both backends' Restore make with the same errors. A snapshot can
+// carry a valid seal (the seals are unkeyed digests) yet belong to a
+// different machine, as a durable checkpoint restored after a grammar
+// swap does, or be forged: a state the machine does not have, or a
+// stack that is empty, does not start with ⊥, or is deeper than the
+// execution allows, is refused with ErrCheckpointCorrupt rather than
+// resumed into out-of-range indexing.
+func (cp *Checkpoint) Check(numStates, depth int) error {
+	if !cp.Verify() {
+		return ErrCheckpointCorrupt
+	}
+	switch {
+	case cp.Cur < 0 || int(cp.Cur) >= numStates:
+		return fmt.Errorf("%w: state %d outside this machine's %d states",
+			ErrCheckpointCorrupt, cp.Cur, numStates)
+	case len(cp.Stack) == 0:
+		return fmt.Errorf("%w: empty stack", ErrCheckpointCorrupt)
+	case cp.Stack[0] != BottomOfStack:
+		return fmt.Errorf("%w: stack does not start with ⊥", ErrCheckpointCorrupt)
+	case len(cp.Stack)-1 > depth:
+		return fmt.Errorf("%w: %d stack symbols above ⊥, past this execution's depth %d",
+			ErrCheckpointCorrupt, len(cp.Stack)-1, depth)
+	}
+	return nil
+}
+
 // Restore rewinds the execution to cp after verifying the seal; a
-// corrupted snapshot returns ErrCheckpointCorrupt and leaves the
-// execution untouched. The execution must run the same machine the
+// corrupted snapshot, or one Check refuses, returns an error wrapping
+// ErrCheckpointCorrupt and leaves the execution untouched. The execution must run the same machine the
 // checkpoint was taken from (stack depth and ε-budget are properties of
 // the execution and are kept). The execution's buffers are reused; cp
 // is not aliased and may be restored again later.
 func (e *Execution) Restore(cp *Checkpoint) error {
-	if !cp.Verify() {
-		return ErrCheckpointCorrupt
-	}
-	// A snapshot can carry a valid seal yet belong to a different
-	// machine (a durable checkpoint restored after a grammar swap):
-	// refuse a state the executing machine does not have rather than
-	// resuming into out-of-range indexing.
-	if cp.Cur < 0 || int(cp.Cur) >= len(e.M.States) {
-		return fmt.Errorf("%w: state %d outside this machine's %d states",
-			ErrCheckpointCorrupt, cp.Cur, len(e.M.States))
+	if err := cp.Check(len(e.M.States), e.depth); err != nil {
+		return err
 	}
 	e.cur = cp.Cur
 	e.stack = append(e.stack[:0], cp.Stack...)

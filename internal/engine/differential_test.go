@@ -413,3 +413,60 @@ func TestEngineProgramShape(t *testing.T) {
 		t.Errorf("Engine() not cached: %p vs %p (%v)", again, prog, err)
 	}
 }
+
+// Both backends refuse the same forged snapshots with the same errors:
+// a sealed checkpoint whose state is out of range, or whose stack is
+// empty, lacks ⊥ at the bottom, or is deeper than the execution's stack
+// depth. The genuine snapshot restores on both.
+func TestEngineDifferentialRefusesForgedCheckpoints(t *testing.T) {
+	l := lang.JSON()
+	cm, err := l.Compile(compile.OptAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := cm.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const depth = 16
+	src, err := stream.NewParserBackend(l, cm, engine.NewExec(prog, engine.Options{StackDepth: depth}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Write([]byte(`{"a": [1, [2, `)); err != nil {
+		t.Fatal(err)
+	}
+	var scp stream.Checkpoint
+	src.Checkpoint(&scp)
+	cp := scp.Exec
+	top := cp.Stack[len(cp.Stack)-1]
+	forge := func(f func(*core.Checkpoint)) core.Checkpoint {
+		c := cp
+		c.Stack = append([]core.Symbol(nil), cp.Stack...)
+		f(&c)
+		c.Seal()
+		return c
+	}
+	cases := map[string]core.Checkpoint{
+		"genuine":     forge(func(*core.Checkpoint) {}),
+		"state":       forge(func(c *core.Checkpoint) { c.Cur = core.StateID(len(cm.Machine.States)) }),
+		"empty stack": forge(func(c *core.Checkpoint) { c.Stack = c.Stack[:0] }),
+		"no ⊥":        forge(func(c *core.Checkpoint) { c.Stack[0] = top }),
+		"deeper stack": forge(func(c *core.Checkpoint) {
+			for len(c.Stack) <= depth+1 {
+				c.Stack = append(c.Stack, top)
+			}
+		}),
+		"unsealed": func() core.Checkpoint { c := forge(func(*core.Checkpoint) {}); c.Pos++; return c }(),
+	}
+	for name, c := range cases {
+		simErr := core.NewExecution(cm.Machine, core.ExecOptions{StackDepth: depth}).Restore(&c)
+		engErr := engine.NewExec(prog, engine.Options{StackDepth: depth}).Restore(&c)
+		if errString(simErr) != errString(engErr) {
+			t.Errorf("%s: engine %q, sim %q", name, errString(engErr), errString(simErr))
+		}
+		if (name == "genuine") != (simErr == nil) || simErr != nil && !errors.Is(simErr, core.ErrCheckpointCorrupt) {
+			t.Errorf("%s: Restore = %v", name, simErr)
+		}
+	}
+}

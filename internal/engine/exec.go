@@ -350,15 +350,11 @@ func (e *Exec) Checkpoint(cp *core.Checkpoint) {
 }
 
 // Restore rewinds the execution to cp after verifying the seal,
-// rejecting corrupted snapshots and out-of-range states exactly as
+// refusing what core.Checkpoint.Check refuses exactly as
 // core.Execution.Restore does.
 func (e *Exec) Restore(cp *core.Checkpoint) error {
-	if !cp.Verify() {
-		return core.ErrCheckpointCorrupt
-	}
-	if cp.Cur < 0 || int(cp.Cur) >= e.p.numStates {
-		return fmt.Errorf("%w: state %d outside this machine's %d states",
-			core.ErrCheckpointCorrupt, cp.Cur, e.p.numStates)
+	if err := cp.Check(e.p.numStates, e.depth); err != nil {
+		return err
 	}
 	e.cur = int32(cp.Cur)
 	e.stack = append(e.stack[:0], cp.Stack...)

@@ -1,11 +1,15 @@
 package lang
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
 	"aspen/internal/compile"
 	"aspen/internal/core"
+	"aspen/internal/lexer"
+	"aspen/internal/xmlgen"
 )
 
 var samples = map[string]string{
@@ -229,6 +233,66 @@ func TestLexerFingerprintsPinned(t *testing.T) {
 		}
 		if got := lx.Fingerprint(); got != want[l.Name] {
 			t.Errorf("%s lexer fingerprint %#016x, want %#016x", l.Name, got, want[l.Name])
+		}
+	}
+}
+
+// goldenScanDocs are the documents TestScanImagesPinned saves scans
+// over: JSON records, a JSON string body long enough to cross many
+// chunk boundaries, and generated XML documents at medium and low
+// markup density.
+func goldenScanDocs() map[string][]byte {
+	blob := make([]byte, 8<<10)
+	for i := range blob {
+		blob[i] = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"[(i*37+i/64)%64]
+	}
+	return map[string][]byte{
+		"JSON":      []byte("[" + strings.TrimSuffix(strings.Repeat(JSONSample+",\n", 12), ",\n") + "]"),
+		"JSON-blob": []byte(`{"name": "attachment", "data": "` + string(blob) + `", "ok": true}`),
+		"XML":       xmlgen.Generate("golden", 32<<10, 0.4, 3).Data,
+		"XML-text":  xmlgen.Generate("golden-text", 16<<10, 0.1, 4).Data,
+	}
+}
+
+// A durable session's checkpoint embeds the lexer's scan image
+// (lexer.Scan.AppendBinary), so the images are pinned as well as the
+// fingerprints: a scan saved at every 997-byte boundary of each golden
+// document must encode to exactly these bytes, whatever numbering the
+// lexer runs on internally.
+func TestScanImagesPinned(t *testing.T) {
+	want := map[string]string{
+		"JSON":      "7468e5d416eb15de476aeebce531126ba80655e3705c42d710d0cba16f1f6afa",
+		"JSON-blob": "785006ba9eeadaeacef9b0865987cc9458c6e50a050387173a047b00b742a93f",
+		"XML":       "c464b278864aba99cc2a94051150cc084d12296d3de01606961ec18bc6286ee5",
+		"XML-text":  "afa12cea82cf903a88ac721a9eba6a2d34557063485bfbd347703e2e803842b0",
+	}
+	langs := map[string]*Language{"JSON": JSON(), "JSON-blob": JSON(), "XML": XML(), "XML-text": XML()}
+	for name, doc := range goldenScanDocs() {
+		lx, err := langs[name].Lexer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s lexer.Scan
+		if err := s.Reset(lx, lexer.DefaultMode); err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var toks []lexer.Token
+		images := 0
+		for rest := doc; len(rest) > 0; {
+			n := min(997, len(rest))
+			if toks, _, err = s.Feed(toks[:0], rest[:n]); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			rest = rest[n:]
+			h.Write(s.AppendBinary(nil))
+			images++
+		}
+		if _, _, err := s.Finish(toks[:0]); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
+			t.Errorf("%s: %d scan images hash to %s, want %s", name, images, got, want[name])
 		}
 	}
 }

@@ -9,6 +9,7 @@
 package lexer
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -95,19 +96,148 @@ func (e *Error) Error() string {
 }
 
 // modeNFA is the compiled automaton of one mode: its NFA determinized,
-// with rule indices mapped to per-mode report codes.
+// and the DFA's states renumbered into the rows of one table the scan
+// loop runs on (see New).
 type modeNFA struct {
 	name  string
-	idx   int // position in Lexer.order
-	dfa   *nfa.DFA
-	acc   []int32 // per DFA state: the accepted rule index, or -1
-	rules []int   // report code → rule index
+	idx   int   // position in Lexer.order
+	rules []int // report code → rule index
+
+	// tab[q+b] is the row the state of row q steps to on byte b. Row
+	// IDs are premultiplied by 256 and fall into ranges, in this order:
+	// plain live non-accepting states, accelerated non-accepting states
+	// (from special), accelerated accepting states (from accLo), plain
+	// accepting states (from accelHi), and the dead row. A row below
+	// special needs nothing from the scan but the next load.
+	tab                           []int32
+	start                         int32
+	special, accLo, accelHi, dead int32
+	hits                          []hit   // per accepting row, from accLo
+	accels                        []accel // per accelerated row, from special
+
+	// orig maps a row index (ID/256) to the DFA's own state ID (-1 for
+	// the dead row), and row maps a DFA state ID to its row ID: saved
+	// scans carry DFA IDs.
+	orig, row []int32
 }
 
-// action is what the scan does once a rule's lexeme is decided.
-type action struct {
-	next *modeNFA // the mode the rule switches to, or nil
+// hit is what the scan does with a lexeme that ends in an accepting
+// row.
+type hit struct {
+	rule int32
 	emit bool     // false for a skip rule
+	next *modeNFA // the mode after the lexeme: the rule's switch, or the same
+}
+
+// accelMin is the number of byte values a state's self-loop must keep
+// for the scan to skip its runs rather than step them.
+const accelMin = 128
+
+// The ways an accelerated row finds the first byte that leaves it.
+const (
+	accelByte = iota // one byte leaves: bytes.IndexByte
+	accelSWAR        // the bytes below lt and up to three more leave: 8 bytes per test
+)
+
+// accel is an accelerated row: a state whose self-loop keeps at least
+// accelMin byte values and whose exits one of the kinds above finds.
+type accel struct {
+	kind uint8
+	lt   byte    // accelSWAR: every byte below lt leaves
+	by   [3]byte // accelByte: by[0] leaves; accelSWAR: these leave too
+}
+
+// newMode renumbers d's states into the ranges modeNFA describes,
+// keeping the DFA's order within each range. The hits' emit flags and
+// next modes are left for New, which knows every mode.
+func newMode(name string, idx int, d *nfa.DFA, rules []int) *modeNFA {
+	n := d.NumStates()
+	// rank: 0 plain, 1 accelerated, 2 accelerated and accepting, 3 accepting.
+	rank := make([]int, n)
+	accels := make([]accel, n)
+	for q := range n {
+		a, fast := newAccel(d, q)
+		switch acc := d.Report[q] >= 0; {
+		case fast && acc:
+			rank[q] = 2
+		case fast:
+			rank[q] = 1
+		case acc:
+			rank[q] = 3
+		}
+		accels[q] = a
+	}
+	mn := &modeNFA{name: name, idx: idx, rules: rules, orig: make([]int32, 0, n+1), row: make([]int32, n)}
+	var from [4]int32
+	for r := range from {
+		from[r] = int32(len(mn.orig)) << 8
+		for q := range n {
+			if rank[q] == r {
+				mn.row[q] = int32(len(mn.orig)) << 8
+				mn.orig = append(mn.orig, int32(q))
+			}
+		}
+	}
+	mn.special, mn.accLo, mn.accelHi, mn.dead = from[1], from[2], from[3], int32(n)<<8
+	// The dead row stands for the DFA's -1: a scan stopped by a lex
+	// error saves that, which Resume refuses.
+	mn.orig = append(mn.orig, -1)
+	mn.start = mn.row[d.Start]
+	mn.tab = make([]int32, (n+1)*256)
+	for i := range mn.tab {
+		mn.tab[i] = mn.dead
+	}
+	for r, q := range mn.orig[:n] {
+		for b, t := range d.Trans[int(q)*256 : int(q)*256+256] {
+			if t >= 0 {
+				mn.tab[r<<8|b] = mn.row[t]
+			}
+		}
+	}
+	for q := mn.special; q < mn.accelHi; q += 256 {
+		mn.accels = append(mn.accels, accels[mn.orig[q>>8]])
+	}
+	for q := mn.accLo; q < mn.dead; q += 256 {
+		mn.hits = append(mn.hits, hit{rule: int32(rules[d.Report[mn.orig[q>>8]]])})
+	}
+	return mn
+}
+
+// newAccel reports how the scan skips the self-loop runs of d's state
+// q, or false when it steps them: the self-loop keeps fewer than
+// accelMin byte values, or no kind finds its exits.
+func newAccel(d *nfa.DFA, q int) (accel, bool) {
+	var exits []byte
+	for b, t := range d.Trans[q*256 : q*256+256] {
+		if t != int32(q) {
+			exits = append(exits, byte(b))
+		}
+	}
+	if len(exits) == 0 || len(exits) > 256-accelMin {
+		return accel{}, false
+	}
+	if len(exits) == 1 {
+		return accel{kind: accelByte, by: [3]byte{exits[0]}}, true
+	}
+	// The exits ascend and number at most 256-accelMin, so lt is at
+	// most 128, as the SWAR test needs.
+	lt := 0
+	for lt < len(exits) && exits[lt] == byte(lt) {
+		lt++
+	}
+	rest := exits[lt:]
+	if len(rest) > 3 {
+		return accel{}, false
+	}
+	a := accel{kind: accelSWAR, lt: byte(lt)}
+	for k := range a.by {
+		// Unused slots repeat an exit, which keeps the test exact.
+		a.by[k] = exits[0]
+		if k < len(rest) {
+			a.by[k] = rest[k]
+		}
+	}
+	return a, true
 }
 
 // Lexer is a compiled tokenizer. It is immutable after New, so one
@@ -116,7 +246,6 @@ type Lexer struct {
 	spec  Spec
 	modes map[string]*modeNFA
 	order []*modeNFA // modes sorted by name
-	acts  []action   // per rule
 	fp    uint64
 }
 
@@ -126,6 +255,14 @@ type Lexer struct {
 // per byte; the DFA dies on exactly the byte the hardware NFA exhausts
 // its active states, so the cycle model is unchanged. A mode whose DFA
 // would pass the state bound is an error wrapping nfa.ErrTooManyStates.
+//
+// The DFA's states are then renumbered into special-state ranges (as in
+// Rust's regex-automata), so a byte that lands in a plain non-accepting
+// state costs the scan one load and one compare, and a state whose
+// self-loop keeps at least accelMin byte values is accelerated
+// (Hyperscan, NSDI 2019): the scan skips its runs to the first byte
+// that leaves it. Only the renumbered table is kept; the fingerprint
+// and saved scans use the DFA's own numbering.
 func New(spec Spec) (*Lexer, error) {
 	byMode := map[string][]int{}
 	for i, r := range spec.Rules {
@@ -150,6 +287,7 @@ func New(spec Spec) (*Lexer, error) {
 		modes = append(modes, m)
 	}
 	sort.Strings(modes)
+	dfas := make([]*nfa.DFA, 0, len(modes))
 	for _, m := range modes {
 		idxs := byMode[m]
 		pats := make([]string, len(idxs))
@@ -168,22 +306,19 @@ func New(spec Spec) (*Lexer, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lexer %s mode %s: %w", spec.Name, m, err)
 		}
-		acc := make([]int32, len(d.Report))
-		for q, r := range d.Report {
-			acc[q] = -1
-			if r >= 0 {
-				acc[q] = int32(idxs[r])
-			}
-		}
-		mn := &modeNFA{name: m, idx: len(l.order), dfa: d, acc: acc, rules: idxs}
+		mn := newMode(m, len(l.order), d, idxs)
 		l.modes[m] = mn
 		l.order = append(l.order, mn)
+		dfas = append(dfas, d)
 	}
-	l.acts = make([]action, len(spec.Rules))
-	for i, r := range spec.Rules {
-		l.acts[i] = action{next: l.modes[r.SetMode], emit: !r.Skip}
+	for _, mn := range l.order {
+		for k := range mn.hits {
+			h := &mn.hits[k]
+			r := spec.Rules[h.rule]
+			h.emit, h.next = !r.Skip, cmp.Or(l.modes[r.SetMode], mn)
+		}
 	}
-	l.fp = l.fingerprint()
+	l.fp = l.fingerprint(dfas)
 	return l, nil
 }
 
@@ -194,12 +329,15 @@ func (l *Lexer) NumModes() int { return len(l.modes) }
 func (l *Lexer) RuleName(i int) string { return l.spec.Rules[i].Name }
 
 // Fingerprint is a deterministic hash of the compiled mode tables: the
-// rules, each mode's report map, and its DFA. A Scan's saved run
-// configuration holds raw DFA state IDs, which mean something only on a
-// lexer with the same fingerprint.
+// rules, each mode's report map, and its DFA in the DFA's own state
+// numbering, not the scan's renumbered rows. A Scan's saved run
+// configuration holds those DFA state IDs, which mean something only on
+// a lexer with the same fingerprint.
 func (l *Lexer) Fingerprint() uint64 { return l.fp }
 
-func (l *Lexer) fingerprint() uint64 {
+// fingerprint hashes the rules and, per mode in order, its report map
+// and DFA, dfas[i].
+func (l *Lexer) fingerprint(dfas []*nfa.DFA) uint64 {
 	// New fingerprints every lexer it builds; hashing through a fixed
 	// buffer keeps that from allocating a copy of the tables.
 	h := fnv.New64a()
@@ -221,13 +359,13 @@ func (l *Lexer) fingerprint() uint64 {
 			u32(0)
 		}
 	}
-	for _, mn := range l.order {
+	for i, mn := range l.order {
 		str(mn.name)
 		u32(len(mn.rules))
 		for _, r := range mn.rules {
 			u32(r)
 		}
-		d := mn.dfa
+		d := dfas[i]
 		u32(int(d.Start))
 		u32(len(d.Report))
 		for _, v := range d.Trans {

@@ -1,6 +1,7 @@
 package lexer
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -23,6 +24,12 @@ import (
 // state, which stands for one NFA active set, so the scan cycles are
 // those of the hardware NFA with the same memo.
 //
+// The scan runs on each mode's renumbered table (see New), so every
+// state a Scan holds is a row ID. A skipped self-loop run costs the
+// cycles of the bytes it skips. AppendBinary and Resume translate rows
+// to and from the DFA's own state IDs, so a saved scan does not depend
+// on the numbering.
+//
 // A Scan is bound to one Lexer by Reset and is not safe for concurrent
 // use.
 type Scan struct {
@@ -35,9 +42,9 @@ type Scan struct {
 	// After a successful Feed, pos == end.
 	start, pos int
 	lead       byte  // input[start], for the no-match error
-	state      int32 // the run's DFA state
+	state      int32 // the run's row
 
-	// The lexeme's last accept (accEnd < 0: none yet) and the DFA state
+	// The lexeme's last accept (accEnd < 0: none yet) and the row
 	// there, which names the accepted rule and from which a failed
 	// lookahead is replayed into the memo.
 	accEnd   int
@@ -151,43 +158,71 @@ func (s *Scan) scan(dst []Token, chunk []byte, eof bool) ([]Token, Stats, error)
 
 // runDFA is the compiled scan loop. It runs lexeme after lexeme through
 // seg, the stream bytes from at on that hold s.pos, and emits each token
-// inline, with the run (state, lexeme start, last accept) in locals,
+// inline, with the run (row, lexeme start, last accept) in locals,
 // written back to s once when it returns: when seg ends with a lexeme
 // pending, the run backtracks to before seg, or on a lex error. With
 // last, seg ends the stream.
+//
+// Each lexeme runs in two loops. While the memo may hold an entry for
+// the position, every non-accepting row is looked up in it; past the
+// memo, a plain row costs one load and one compare, and an accelerated
+// row skips its self-loop run. A skipped byte is a scan cycle as much
+// as a stepped one.
 func (s *Scan) runDFA(dst []Token, in *span, seg []byte, at int, last bool, st *Stats) ([]Token, error) {
 	mn := s.mode
-	d := mn.dfa
-	trans, acc, acts := d.Trans, mn.acc, s.l.acts
+	tab, special, accLo, accelHi, dead := mn.tab, mn.special, mn.accLo, mn.accelHi, mn.dead
 	// Offsets relative to seg: the lexeme starts at start and the run
 	// has stepped through i; the last accept ends at ae (ae <= start:
-	// none yet) in state accState. i-i0 counts the bytes stepped.
+	// none yet) in row accState. i-i0 counts the bytes stepped.
 	start, i, q := s.start-at, s.pos-at, s.state
 	ae, accState := start, s.accState
 	if s.accEnd >= 0 {
 		ae = s.accEnd - at
 	}
 	if i == start {
-		q = d.Start
+		q = mn.start
 	}
 	i0, lexemes, emitted := i, 0, len(dst)
 	memoTo := s.memoMax - at // steps to i <= memoTo may land on a failed entry
 	failed := false
 	for {
-		for i < len(seg) {
-			q = trans[int(q)<<8|int(seg[i])]
+		for i < len(seg) && i < memoTo {
+			q = tab[q+int32(seg[i])]
 			i++
-			if q < 0 {
-				break
-			}
-			if acc[q] >= 0 {
+			if q >= accLo {
+				if q == dead {
+					break
+				}
 				ae, accState = i, q
-			} else if i <= memoTo && s.failed(memoKey{pos: at + i, mode: int32(mn.idx), state: q}) {
-				q = -1
+			} else if s.failed(memoKey{pos: at + i, mode: int32(mn.idx), state: q}) {
+				q = dead
 				break
 			}
 		}
-		if q >= 0 && (!last || i == start) {
+		if q != dead {
+			for i < len(seg) {
+				q = tab[q+int32(seg[i])]
+				i++
+				if q < special {
+					continue
+				}
+				if q >= accLo {
+					if q == dead {
+						break
+					}
+					ae, accState = i, q
+				}
+				if q < accelHi {
+					// The run stays in q up to the first byte that
+					// leaves it, and an accepting q accepts there.
+					i = mn.skip(seg, i, q)
+					if q >= accLo {
+						ae = i
+					}
+				}
+			}
+		}
+		if q != dead && (!last || i == start) {
 			break // seg ends with the run live
 		}
 		// The run stopped at i (dead, failed memo entry, or end of
@@ -200,11 +235,10 @@ func (s *Scan) runDFA(dst []Token, in *span, seg []byte, at int, last bool, st *
 			s.remember(in, mn, at+ae, accState, at+i-1)
 			memoTo = s.memoMax - at
 		}
-		rule := int(acc[accState])
-		act := acts[rule]
+		h := &mn.hits[(accState-accLo)>>8]
 		lexemes++
-		if act.emit {
-			dst = append(dst, Token{Rule: rule, Start: at + start, End: at + ae})
+		if h.emit {
+			dst = append(dst, Token{Rule: int(h.rule), Start: at + start, End: at + ae})
 		}
 		i0 -= i - ae
 		start, i = ae, ae
@@ -212,14 +246,14 @@ func (s *Scan) runDFA(dst []Token, in *span, seg []byte, at int, last bool, st *
 			s.clearMemo()
 			memoTo = -1 - at
 		}
-		if next := act.next; next != nil && next != mn {
-			mn, d = next, next.dfa
-			trans, acc = d.Trans, mn.acc
+		if h.next != mn {
+			mn = h.next
+			tab, special, accLo, accelHi, dead = mn.tab, mn.special, mn.accLo, mn.accelHi, mn.dead
 		}
 		if i < 0 {
 			break // backtracked into the kept bytes
 		}
-		q = d.Start
+		q = mn.start
 	}
 	s.mode, s.state, s.start, s.pos, s.accEnd = mn, q, at+start, at+i, -1
 	if ae > start {
@@ -237,22 +271,53 @@ func (s *Scan) runDFA(dst []Token, in *span, seg []byte, at int, last bool, st *
 	return dst, nil
 }
 
+// skip returns the offset of the first byte of seg from i on that
+// leaves the accelerated row q, or len(seg).
+func (mn *modeNFA) skip(seg []byte, i int, q int32) int {
+	a := &mn.accels[(q-mn.special)>>8]
+	if a.kind == accelByte {
+		if k := bytes.IndexByte(seg[i:], a.by[0]); k >= 0 {
+			return i + k
+		}
+		return len(seg)
+	}
+	// accelSWAR: a byte below lt, or equal to one of by, sets its high
+	// bit in t; borrows only carry past a byte that does, so t is zero
+	// exactly when none of the 8 bytes leaves q.
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	lt := ones * uint64(a.lt)
+	b0, b1, b2 := ones*uint64(a.by[0]), ones*uint64(a.by[1]), ones*uint64(a.by[2])
+	for ; i+8 <= len(seg); i += 8 {
+		x := binary.LittleEndian.Uint64(seg[i:])
+		v0, v1, v2 := x^b0, x^b1, x^b2
+		t := (x-lt)&^x | (v0-ones)&^v0 | (v1-ones)&^v1 | (v2-ones)&^v2
+		if t&highs != 0 {
+			break
+		}
+	}
+	row := (*[256]int32)(mn.tab[q : q+256])
+	for i < len(seg) && row[seg[i]] == q {
+		i++
+	}
+	return i
+}
+
 func (s *Scan) failed(k memoKey) bool {
 	_, ok := s.memo[k]
 	return ok
 }
 
-// remember memoizes the DFA states a run of mode mn passed through
-// after its last accept at accEnd, up to last: none of them reaches
-// another accept. It replays them from the accept's state, so the
-// common one-byte lookahead, which the caller skips, costs nothing.
+// remember memoizes the rows a run of mode mn passed through after its
+// last accept at accEnd, up to last: none of them reaches another
+// accept. It replays them from the accept's row, so the common one-byte
+// lookahead, which the caller skips, costs nothing.
 func (s *Scan) remember(in *span, mn *modeNFA, accEnd int, accState int32, last int) {
 	if s.memo == nil {
 		s.memo = map[memoKey]struct{}{}
 	}
 	q := accState
-	for x := accEnd; x < last && q >= 0; x++ {
-		q = mn.dfa.Trans[int(q)<<8|int(in.at(x))]
+	for x := accEnd; x < last && q != mn.dead; x++ {
+		q = mn.tab[q+int32(in.at(x))]
 		s.memo[memoKey{pos: x + 1, mode: int32(mn.idx), state: q}] = struct{}{}
 	}
 	s.memoMax = max(s.memoMax, last)
@@ -266,7 +331,9 @@ var errScanEncoding = errors.New("lexer: malformed scan state")
 // b: the mode, the pending lexeme's start and first byte, the run's DFA
 // state, the last accept with its rule and state, the kept bytes, and
 // the live memo entries in canonical order. A state is written as a
-// one-word list (none before the lexeme's first byte). The run has
+// one-word list (none before the lexeme's first byte) holding the DFA's
+// own state ID, not the row, and the memo entries are ordered by those
+// IDs, so the image is the same whatever the rows. The run has
 // scanned through End; offsets are stored as distances back from it,
 // and the caller saves End beside the state.
 func (s *Scan) AppendBinary(b []byte) []byte {
@@ -276,27 +343,29 @@ func (s *Scan) AppendBinary(b []byte) []byte {
 		u32(1)
 		b = binary.LittleEndian.AppendUint64(b, uint64(q))
 	}
-	u32(s.mode.idx)
+	mn := s.mode
+	u32(mn.idx)
 	back(s.start)
 	b = append(b, s.lead)
 	if s.pos == s.start {
 		u32(0)
 	} else {
-		state(s.state)
+		state(mn.orig[s.state>>8])
 	}
 	if s.accEnd < 0 {
 		b = append(b, 0)
 	} else {
 		b = append(b, 1)
 		back(s.accEnd)
-		u32(int(s.mode.acc[s.accState]))
-		state(s.accState)
+		u32(int(mn.hits[(s.accState-mn.accLo)>>8].rule))
+		state(mn.orig[s.accState>>8])
 	}
 	u32(len(s.kept))
 	b = append(b, s.kept...)
 	live := make([]memoKey, 0, len(s.memo))
 	for k := range s.memo {
 		if k.pos > s.start {
+			k.state = s.l.order[k.mode].orig[k.state>>8]
 			live = append(live, k)
 		}
 	}
@@ -352,14 +421,17 @@ func (s *Scan) Resume(l *Lexer, data []byte, end int) error {
 		return l.order[i], true
 	}
 	// state reads one DFA state of mn, which must be live and past the
-	// first byte.
+	// first byte, and returns its row.
 	state := func(mn *modeNFA) (int32, bool) {
 		if n, ok := u32(); !ok || n != 1 || len(data) < 8 {
 			return 0, false
 		}
 		q := binary.LittleEndian.Uint64(data)
 		data = data[8:]
-		return int32(q), q != uint64(mn.dfa.Start) && q < uint64(mn.dfa.NumStates())
+		if q >= uint64(len(mn.row)) || mn.row[q] == mn.start {
+			return 0, false
+		}
+		return mn.row[q], true
 	}
 
 	mn, ok := mode()
@@ -396,7 +468,8 @@ func (s *Scan) Resume(l *Lexer, data []byte, end int) error {
 		}
 		// The state must accept the saved rule: Finish emits the rule
 		// the state names.
-		if s.accState, ok = state(mn); !ok || int(mn.acc[s.accState]) != rule {
+		if s.accState, ok = state(mn); !ok || s.accState < mn.accLo ||
+			int(mn.hits[(s.accState-mn.accLo)>>8].rule) != rule {
 			return bad("accept configuration")
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"aspen/internal/core"
@@ -160,7 +161,8 @@ func modeMunchSpec() Spec {
 }
 
 // TestScanResumeRejectsDamage damages saved scans — one with live memo
-// entries, one with kept bytes — by flipping every bit, by writing every
+// entries, one with kept bytes, one saved after a lex error, which is
+// refused undamaged — by flipping every bit, by writing every
 // state number of the lexer into each state word, and by truncating
 // them at every length: Resume either refuses the image or yields a scan
 // that finishes, at once or after more input, without panicking. A damaged state must never
@@ -172,9 +174,11 @@ func TestScanResumeRejectsDamage(t *testing.T) {
 		in      string
 		memo    bool
 		keptLen int
+		lexErr  bool
 	}{
-		{modeMunchSpec(), "aaaac", true, 0},
-		{munchSpec(), "aaa", false, 2},
+		{modeMunchSpec(), "aaaac", true, 0, false},
+		{munchSpec(), "aaa", false, 2, false},
+		{munchSpec(), "aac", false, 0, true},
 	}
 	for _, c := range cases {
 		l, err := New(c.spec)
@@ -185,14 +189,17 @@ func TestScanResumeRejectsDamage(t *testing.T) {
 		if err := s.Reset(l, DefaultMode); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := s.Feed(nil, []byte(c.in)); err != nil {
-			t.Fatal(err)
+		if _, _, err := s.Feed(nil, []byte(c.in)); (err != nil) != c.lexErr {
+			t.Fatalf("%s: feeding %q: %v", c.spec.Name, c.in, err)
 		}
 		if (len(s.memo) > 0) != c.memo || len(s.kept) != c.keptLen {
 			t.Fatalf("%s: scan holds %d memo entries and %d kept bytes, want memo=%v kept=%d",
 				c.spec.Name, len(s.memo), len(s.kept), c.memo, c.keptLen)
 		}
 		img := s.AppendBinary(nil)
+		if err := new(Scan).Resume(l, img, s.End()); c.lexErr && err == nil {
+			t.Fatalf("%s: a scan saved after a lex error resumed", c.spec.Name)
+		}
 		try := func(data []byte) {
 			for _, more := range []string{"", "ab a"} {
 				var back Scan
@@ -214,7 +221,7 @@ func TestScanResumeRejectsDamage(t *testing.T) {
 		}
 		states := 0
 		for _, mn := range l.order {
-			states = max(states, mn.dfa.NumStates())
+			states = max(states, len(mn.orig))
 		}
 		for _, off := range stateWords(img) {
 			for q := range states {
@@ -354,20 +361,29 @@ func matchesNaive(t *testing.T, spec Spec, alphabet string, seed int64, trials, 
 		if len(in) > 0 && trial%8 == 0 {
 			in[r.Intn(len(in))] = '!' // a lex error
 		}
-		want, wantErr := naiveTokenize(spec, in)
-		cycles := -1
-		for _, chunk := range []int{0, 1 + r.Intn(9)} {
-			got, st, err := scanAll(t, l, in, chunk)
-			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(err, wantErr) {
-				t.Fatalf("%s input %q chunk %d: got %v %v, want %v %v", spec.Name, in, chunk, got, err, want, wantErr)
-			}
-			if cycles >= 0 && err == nil && st.ScanCycles != cycles {
-				t.Fatalf("%s input %q chunk %d: %d scan cycles, the whole scan took %d",
-					spec.Name, in, chunk, st.ScanCycles, cycles)
-			}
-			if err == nil {
-				cycles = st.ScanCycles
-			}
+		agreesNaive(t, l, spec, in, 0, 1+r.Intn(9))
+	}
+}
+
+// agreesNaive scans in on l, built from spec, whole (chunk 0) or in
+// each of the given chunk sizes, and checks that every scan emits the
+// memo-free reference's tokens and error and that all agree on scan
+// cycles.
+func agreesNaive(t *testing.T, l *Lexer, spec Spec, in []byte, chunks ...int) {
+	t.Helper()
+	want, wantErr := naiveTokenize(spec, in)
+	cycles := -1
+	for _, chunk := range chunks {
+		got, st, err := scanAll(t, l, in, chunk)
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(err, wantErr) {
+			t.Fatalf("%s input %q chunk %d: got %v %v, want %v %v", spec.Name, in, chunk, got, err, want, wantErr)
+		}
+		if cycles >= 0 && err == nil && st.ScanCycles != cycles {
+			t.Fatalf("%s input %q chunk %d: %d scan cycles, the whole scan took %d",
+				spec.Name, in, chunk, st.ScanCycles, cycles)
+		}
+		if err == nil {
+			cycles = st.ScanCycles
 		}
 	}
 }
@@ -391,6 +407,41 @@ func TestMemoMatchesNaiveMunch(t *testing.T) {
 		{Name: "GT", Pattern: ">", Mode: "tag", SetMode: DefaultMode},
 	}}
 	matchesNaive(t, spec, "aaaabbcxyyyz <>", 7, 2000, 80) // every byte lexes in both modes
+}
+
+// TestAccelMatchesNaive checks the accelerated scan against the
+// memo-free reference on inputs dense in long self-loop runs of every
+// acceleration kind, and in comments left open, whose failed lookahead
+// puts a run under the memo.
+func TestAccelMatchesNaive(t *testing.T) {
+	l, err := New(accelSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[uint8]bool{}
+	accepting := false
+	for _, mn := range l.order {
+		for _, a := range mn.accels {
+			kinds[a.kind] = true
+		}
+		accepting = accepting || mn.accelHi > mn.accLo
+	}
+	if len(kinds) != 2 || !accepting {
+		t.Fatalf("accelSpec accelerates kinds %v (accepting row: %v), want both and an accepting row", kinds, accepting)
+	}
+	matchesNaive(t, accelSpec(), "aaaaaaaaaaaa   <<!--->{}{}\"\"''\\\x01\n", 23, 1500, 300)
+	// Every run length up to past two SWAR words, so each exit falls at
+	// every offset within a word.
+	for n := range 40 {
+		run := strings.Repeat("a", n)
+		for _, in := range []string{
+			"{'" + run + "'}", "{'" + run + "\x01'}",
+			"{'" + run + "\\'" + run + "'}", `{"` + run + `"}`, run + "<" + run,
+			"<!--" + run + "-->", "<!--" + run + "<!--" + run, "<!--" + run + "--x", run + "}",
+		} {
+			agreesNaive(t, l, accelSpec(), []byte(in), 0, 3, 8)
+		}
+	}
 }
 
 // TestScanHandoffs pins the scan's handoffs into and out of its DFA

@@ -448,3 +448,65 @@ func TestSessionRefusesASC2Image(t *testing.T) {
 		t.Fatalf("refused ASC2 images left stored checkpoints: %v", keys)
 	}
 }
+
+// TestSessionRefusesForgedStack: the seals are unkeyed, so a PUT image
+// can be re-sealed around a forged machine stack. An empty stack is
+// stored (it passes the seals) but the next chunk answers 410 and
+// deletes the session, where it once panicked the handler on every
+// retry.
+func TestSessionRefusesForgedStack(t *testing.T) {
+	doc := []byte(lang.JSONSample)
+	s, ts := newHandoffServer(t, lang.JSON())
+	resp, err := http.Post(ts.URL+"/v1/parse/JSON?session=b", "application/octet-stream", bytes.NewReader(doc[:len(doc)/2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	getResp, err := http.Get(ts.URL + "/v1/sessions/JSON/b/checkpoint")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, _ := io.ReadAll(getResp.Body)
+	getResp.Body.Close()
+	if getResp.StatusCode != http.StatusOK {
+		t.Fatalf("checkpoint GET: status %d: %s", getResp.StatusCode, img)
+	}
+	var cp stream.Checkpoint
+	if err := cp.UnmarshalBinary(img); err != nil {
+		t.Fatal(err)
+	}
+	cp.Exec.Stack = cp.Exec.Stack[:0]
+	cp.Exec.Seal()
+	cp.Seal()
+	forged, err := cp.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if put := putImage(t, ts, "JSON", "b", forged); put.StatusCode != http.StatusOK {
+		t.Fatalf("PUT of a re-sealed image: status %d, want 200", put.StatusCode)
+	}
+
+	before := s.Registry().Snapshot().Counters["checkpoint_store_corrupt_total"]
+	resp, err = http.Post(ts.URL+"/v1/parse/JSON?session=b", "application/octet-stream", bytes.NewReader(doc[len(doc)/2:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGone {
+		t.Fatalf("chunk after a forged stack: status %d, want 410: %s", resp.StatusCode, body)
+	}
+	if got := s.Registry().Snapshot().Counters["checkpoint_store_corrupt_total"]; got != before+1 {
+		t.Fatalf("checkpoint_store_corrupt_total = %d, want %d", got, before+1)
+	}
+	getResp, err = http.Get(ts.URL + "/v1/sessions/JSON/b/checkpoint")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, getResp.Body)
+	getResp.Body.Close()
+	if getResp.StatusCode != http.StatusNotFound {
+		t.Fatalf("checkpoint GET after the refusal: status %d, want 404", getResp.StatusCode)
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"aspen/internal/compile"
 	"aspen/internal/core"
+	"aspen/internal/engine"
 	"aspen/internal/lang"
 	"aspen/internal/lexer"
 	"aspen/internal/telemetry"
@@ -231,46 +232,80 @@ func TestStreamCheckpointTelemetryMonotone(t *testing.T) {
 }
 
 // TestStreamCheckpointDigestRejectsTamper pins the snapshot integrity
-// seal at stream level: corrupting either the stream fields or the
-// embedded machine checkpoint makes Restore refuse with
-// core.ErrCheckpointCorrupt, leaving the parser unpoisoned.
+// seal at stream level, under both backends: corrupting either the
+// stream fields or the embedded machine checkpoint makes Restore refuse
+// with core.ErrCheckpointCorrupt, leaving the parser unpoisoned. So does
+// a re-sealed machine snapshot (the unkeyed seals let anyone forge one)
+// whose stack is empty, lacks ⊥ at the bottom, or is deeper than the
+// execution's stack depth, which once restored and then panicked on the
+// next Write.
 func TestStreamCheckpointDigestRejectsTamper(t *testing.T) {
 	l := lang.JSON()
 	cm, err := l.Compile(compile.OptAll)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewParser(l, cm, core.ExecOptions{})
+	prog, err := cm.Engine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Write([]byte(`[1, 2, `)); err != nil {
-		t.Fatal(err)
+	const depth = 16
+	backends := map[string]func() (*Parser, error){
+		"sim": func() (*Parser, error) { return NewParser(l, cm, core.ExecOptions{StackDepth: depth}) },
+		"engine": func() (*Parser, error) {
+			return NewParserBackend(l, cm, engine.NewExec(prog, engine.Options{StackDepth: depth}))
+		},
 	}
-	var cp Checkpoint
-	p.Checkpoint(&cp)
+	for name, mk := range backends {
+		p, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Write([]byte(`{"a": [1, [2, `)); err != nil {
+			t.Fatal(err)
+		}
+		var cp Checkpoint
+		p.Checkpoint(&cp)
 
-	streamTamper := cp
-	streamTamper.Tokens += 5
-	if err := p.Restore(&streamTamper); !errors.Is(err, core.ErrCheckpointCorrupt) {
-		t.Fatalf("stream-field tamper: Restore = %v, want ErrCheckpointCorrupt", err)
-	}
-	execTamper := cp
-	execTamper.Exec.Pos++
-	if err := p.Restore(&execTamper); !errors.Is(err, core.ErrCheckpointCorrupt) {
-		t.Fatalf("exec-field tamper: Restore = %v, want ErrCheckpointCorrupt", err)
-	}
+		streamTamper := cp
+		streamTamper.Tokens += 5
+		if err := p.Restore(&streamTamper); !errors.Is(err, core.ErrCheckpointCorrupt) {
+			t.Fatalf("%s, stream-field tamper: Restore = %v, want ErrCheckpointCorrupt", name, err)
+		}
+		execTamper := cp
+		execTamper.Exec.Pos++
+		if err := p.Restore(&execTamper); !errors.Is(err, core.ErrCheckpointCorrupt) {
+			t.Fatalf("%s, exec-field tamper: Restore = %v, want ErrCheckpointCorrupt", name, err)
+		}
+		top := cp.Exec.Stack[len(cp.Exec.Stack)-1]
+		deep := []core.Symbol{core.BottomOfStack}
+		for len(deep) <= depth+1 {
+			deep = append(deep, top)
+		}
+		for forge, stack := range map[string][]core.Symbol{
+			"empty":  {},
+			"no ⊥":   append([]core.Symbol{top}, cp.Exec.Stack[1:]...),
+			"deeper": deep,
+		} {
+			bad := cp
+			bad.Exec.Stack = stack
+			bad.Exec.Seal()
+			bad.Seal()
+			if err := p.Restore(&bad); !errors.Is(err, core.ErrCheckpointCorrupt) {
+				t.Fatalf("%s, %s stack: Restore = %v, want ErrCheckpointCorrupt", name, forge, err)
+			}
+		}
 
-	// The parser survives the refusals and finishes the document.
-	if err := p.Restore(&cp); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Write([]byte(`3]`)); err != nil {
-		t.Fatal(err)
-	}
-	out, err := p.Close()
-	if err != nil || !out.Accepted {
-		t.Fatalf("parse after refused restores: out=%+v err=%v", out, err)
+		// The parser survives the refusals and finishes the document.
+		if err := p.Restore(&cp); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Write([]byte(`3]]}`)); err != nil {
+			t.Fatal(err)
+		}
+		if out, err := p.Close(); err != nil || !out.Accepted {
+			t.Fatalf("%s: parse after refused restores: out=%+v err=%v", name, out, err)
+		}
 	}
 }
 
