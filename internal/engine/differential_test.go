@@ -10,6 +10,7 @@ package engine_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -467,6 +468,108 @@ func TestEngineDifferentialRefusesForgedCheckpoints(t *testing.T) {
 		}
 		if (name == "genuine") != (simErr == nil) || simErr != nil && !errors.Is(simErr, core.ErrCheckpointCorrupt) {
 			t.Errorf("%s: Restore = %v", name, simErr)
+		}
+	}
+}
+
+// A restored stack may carry symbols no state pushes: the checkpoint
+// check does not validate them. Both backends must read such a stack
+// the same way. Each forged checkpoint (0xEE under the top, ⊥ in
+// mid-stack, and each of the 256 values as the TOS) resumes the parse
+// on both, and the outcomes and error strings must agree.
+func TestEngineDifferentialForgedStacks(t *testing.T) {
+	for _, c := range []struct {
+		l   *lang.Language
+		doc string
+	}{
+		{lang.JSON(), `{"k": [1, 2, {"n": [3, {"m": [4, 5]}]}], "s": "str", "b": true}`},
+		{lang.XML(), `<r a="1"><a><b x="2">text<c/></b></a><d>more</d></r>`},
+	} {
+		cm, err := c.l.Compile(compile.OptAll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := cm.Engine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc := []byte(c.doc)
+		cut := len(doc) / 2
+		src, err := stream.NewParserBackend(c.l, cm, engine.NewExec(prog, engine.Options{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := src.Write(doc[:cut]); err != nil {
+			t.Fatal(err)
+		}
+		var cp stream.Checkpoint
+		src.Checkpoint(&cp)
+		stack := cp.Exec.Stack
+		if len(stack) < 3 {
+			t.Fatalf("%s: stack %v is too shallow to forge", c.l.Name, stack)
+		}
+		top := len(stack) - 1
+		forged := map[string][]core.Symbol{
+			"0xEE under the top": append(append(stack[:top:top], 0xEE), stack[top]),
+			"⊥ in mid-stack":     append(append(stack[:top:top], core.BottomOfStack), stack[top]),
+		}
+		for v := 0; v < 256; v++ {
+			s := append([]core.Symbol(nil), stack...)
+			s[top] = core.Symbol(v)
+			forged[fmt.Sprintf("TOS %#02x", v)] = s
+		}
+		for name, s := range forged {
+			f := cp
+			f.Exec.Stack = s
+			f.Exec.Seal()
+			f.Seal()
+			var outs [2]stream.Outcome
+			var errs [2]string
+			for mode := simMode; mode <= engineMode; mode++ {
+				var p *stream.Parser
+				if mode == simMode {
+					p, err = stream.NewParser(c.l, cm, core.ExecOptions{})
+				} else {
+					p, err = stream.NewParserBackend(c.l, cm, engine.NewExec(prog, engine.Options{}))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Restore(&f); err != nil {
+					t.Fatalf("%s %s: %s restore: %v", c.l.Name, name, mode, err)
+				}
+				_, werr := p.Write(doc[cut:])
+				outs[mode], err = p.Close()
+				if werr != nil {
+					err = werr
+				}
+				errs[mode] = errString(err)
+			}
+			if errs[engineMode] != errs[simMode] {
+				t.Errorf("%s %s: err %q, sim %q", c.l.Name, name, errs[engineMode], errs[simMode])
+			}
+			if !reflect.DeepEqual(outs[engineMode], outs[simMode]) {
+				t.Errorf("%s %s: outcome\n got %+v\nwant %+v", c.l.Name, name, outs[engineMode], outs[simMode])
+			}
+		}
+	}
+}
+
+// The dispatch tables are sized by the classes a grammar uses, not by
+// the 256-wide symbol space: both serving built-ins stay well below
+// what one 256-wide table per state would take.
+func TestEngineTableBytesCompact(t *testing.T) {
+	for _, l := range []*lang.Language{lang.JSON(), lang.XML()} {
+		cm, err := l.Compile(compile.OptAll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := cm.Engine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := prog.TableBytes(); got >= 128<<10 {
+			t.Errorf("%s: TableBytes = %d, want < 128 KiB", l.Name, got)
 		}
 	}
 }

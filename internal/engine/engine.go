@@ -1,6 +1,6 @@
 // Package engine is the fast-path execution engine: an hDPDA lowered
-// into flattened structure-of-arrays transition tables and stepped
-// without any of the cycle-accurate simulator's per-cycle bookkeeping.
+// into flat class-indexed transition tables and stepped without any of
+// the cycle-accurate simulator's per-cycle bookkeeping.
 //
 // The simulator (internal/core + internal/arch) exists to reproduce the
 // paper's tables: it models ε-stall cycles, bank placement, fault
@@ -10,15 +10,23 @@
 // events, and error classes, pinned by differential tests and a fuzz
 // target against core.Execution — and drops everything else:
 //
-//   - Dispatch is table lookup, not successor-list scan. An ε-move is
-//     one load from a dense [state<<8|TOS] array; an input move indexes
-//     a dense [state<<8|symbol] array whose entries chain through at
-//     most a handful of candidates (one per successor whose input label
-//     covers the symbol — almost always exactly one for compiled
-//     grammars, where a non-ε state matches a single token code).
+//   - Dispatch is table lookup, not successor-list scan, over classes
+//     rather than raw symbols. Compile partitions the 256 stack symbols
+//     into the classes the states' stack labels tell apart, and the
+//     input codes likewise by the input labels (a few dozen of each
+//     for compiled grammars). An ε-move is one load from a dense
+//     [state, TOS class] table; an input move indexes a dense
+//     [state, code class] table that starts a short run of candidates,
+//     each with a stack-class mask (almost always exactly one: a non-ε
+//     state of a compiled grammar matches a single token code).
+//   - Each entry carries its target's action word (pop count, push
+//     symbol and class, accept bit), so a step reads no per-state
+//     column. The stack holds raw symbols (checkpoints are the
+//     simulator's); the hot loop holds the TOS class in a register,
+//     takes it from the action word after a push and reloads it
+//     through the symbol→class map only after a pop.
 //   - No hooks, no fault injector, no per-cycle accounting beyond the
-//     counters core.Result requires. The hot loop touches five parallel
-//     arrays indexed by state ID.
+//     counters core.Result requires.
 //   - Executions are poolable: any number of Execs share one immutable
 //     Program, so the serving layer runs each request's document on its
 //     own Exec, independently of every other (the paper's "hundreds of
@@ -31,27 +39,37 @@ package engine
 
 import (
 	"fmt"
-	"math/bits"
 
 	"aspen/internal/core"
 )
 
-// State flag bits, packed so the hot loop reads one byte per
-// activation.
+// An action word packs a dispatch target's entry actions, so a step
+// reads them from the table entry that names the target instead of
+// from per-state columns.
 const (
-	flagEps    uint8 = 1 << 0
-	flagAccept uint8 = 1 << 1
-	flagPush   uint8 = 1 << 2
+	actPop       uint32 = 0xff   // bits 0–7: symbols popped
+	actPush      uint32 = 0xff00 // bits 8–15: symbol pushed; 0 = no push (⊥ is never pushed)
+	actPushShift        = 8
+	actClsShift         = 16      // bits 16–23: stack class of the pushed symbol
+	actAccept    uint32 = 1 << 24 // the target reports
+	actLast      uint32 = 1 << 25 // input candidates: the last of its slot's run
 )
 
-// noState marks an empty ε-dispatch slot.
+// noState marks an empty dispatch entry.
 const noState int32 = -1
 
-// maxStates bounds the lowered machine so the [state<<8|symbol] table
-// indexes stay within int range on 32-bit platforms. Real grammars are
+// maxStates bounds the lowered machine so that state×class table
+// indexes (at most 256 classes) stay within uint32. Real grammars are
 // thousands of states; this is a structural sanity bound, not a
 // capacity plan.
 const maxStates = 1 << 22
+
+// entry is one dispatch table slot: the target state and its action
+// word.
+type entry struct {
+	next int32
+	act  uint32
+}
 
 // Program is an hDPDA lowered into flat transition tables. It is
 // immutable after Compile and shared by any number of concurrent Execs.
@@ -62,32 +80,39 @@ type Program struct {
 	start      int32
 	fp         uint64 // source machine fingerprint
 
-	// Per-state entry actions, indexed by state ID (structure of
-	// arrays: the hot loop reads only the columns it needs).
-	flags   []uint8
-	popCnt  []uint8
-	pushSym []core.Symbol
-	report  []int32
-	// stackSet is the state's top-of-stack match label, consulted when
-	// the state appears as an input-dispatch candidate.
-	stackSet []core.SymbolSet
-	// labels are diagnostics for error paths only (stack faults embed
-	// the state label, matching core's error strings byte for byte).
-	labels []string
+	// stackClass maps each of the 256 stack symbols to its class:
+	// symbols that every state's Stack label contains both or neither
+	// of share one. It covers every byte, since a restored checkpoint
+	// may carry symbols no state pushes. nsc is the class count.
+	stackClass [256]uint8
+	nsc        uint32
+	// codeClass does the same for input codes over the non-ε states'
+	// Input labels; nic is the class count.
+	codeClass [256]uint8
+	nic       uint32
 
-	// epsNext is the dense ε-dispatch table: epsNext[state<<8|tos] is
-	// the enabled ε-successor, or noState. Exact because an ε-successor
+	// eps is the ε-dispatch table: eps[state*nsc+tosClass] is the
+	// enabled ε-successor, or noState. Exact because an ε-successor
 	// discriminates only on TOS, and determinism guarantees at most one
 	// per (state, TOS).
-	epsNext []int32
+	eps []entry
+	// Input dispatch: inStart[state*nic+codeClass] starts a run of
+	// candidate successors in cands, ended by actLast. A candidate fires
+	// when bit tosClass of its stack-class mask is set; the mask is
+	// candMask[cand<<maskShift:][:1<<maskShift]. Slot 0 is a sentinel
+	// with no next state and an empty mask, where every empty slot points.
+	inStart   []uint32
+	cands     []entry
+	candMask  []uint64
+	maskShift uint32
 
-	// Input dispatch: inHead[state<<8|sym] heads a chain of candidate
-	// successors through candNext (0 terminates; slot 0 is a reserved
-	// sentinel). A candidate fires when its state's stackSet contains
-	// the TOS.
-	inHead     []uint32
-	candTarget []int32
-	candNext   []uint32
+	// Per-state columns the run reads outside dispatch: the accept flag
+	// (InAccept after a restore), the report code (collected reports),
+	// and the label (faults embed it, matching core's error strings
+	// byte for byte).
+	accept []bool
+	report []int32
+	labels []string
 }
 
 // Compile lowers m into a Program. The machine is validated first: the
@@ -112,94 +137,117 @@ func Compile(m *core.HDPDA) (*Program, error) {
 		stackDepth: depth,
 		start:      int32(m.Start),
 		fp:         m.Fingerprint(),
-		flags:      make([]uint8, n),
-		popCnt:     make([]uint8, n),
-		pushSym:    make([]core.Symbol, n),
+		accept:     make([]bool, n),
 		report:     make([]int32, n),
-		stackSet:   make([]core.SymbolSet, n),
 		labels:     make([]string, n),
-		epsNext:    make([]int32, n*256),
-		inHead:     make([]uint32, n*256),
-		candTarget: make([]int32, 1), // slot 0 = chain terminator
-		candNext:   make([]uint32, 1),
 	}
-	for i := range p.epsNext {
-		p.epsNext[i] = noState
-	}
+	var stackSets, inputSets []core.SymbolSet
 	for i := range m.States {
 		st := &m.States[i]
-		var f uint8
-		if st.Epsilon {
-			f |= flagEps
+		stackSets = append(stackSets, st.Stack)
+		if !st.Epsilon {
+			inputSets = append(inputSets, st.Input)
 		}
-		if st.Accept {
-			f |= flagAccept
-		}
-		if st.Op.HasPush {
-			f |= flagPush
-		}
-		p.flags[i] = f
-		p.popCnt[i] = st.Op.Pop
-		p.pushSym[i] = st.Op.Push
+		p.accept[i] = st.Accept
 		p.report[i] = st.Report
-		p.stackSet[i] = st.Stack
 		p.labels[i] = st.Label
 	}
+	stackRep := classify(stackSets, &p.stackClass)
+	codeRep := classify(inputSets, &p.codeClass)
+	p.nsc, p.nic = uint32(len(stackRep)), uint32(len(codeRep))
+
+	act := func(st *core.State) uint32 {
+		a := uint32(st.Op.Pop)
+		if st.Op.HasPush {
+			a |= uint32(st.Op.Push)<<actPushShift | uint32(p.stackClass[st.Op.Push])<<actClsShift
+		}
+		if st.Accept {
+			a |= actAccept
+		}
+		return a
+	}
+
+	words := 1
+	for words*64 < len(stackRep) {
+		words *= 2
+		p.maskShift++
+	}
+	p.eps = make([]entry, n*len(stackRep))
+	for i := range p.eps {
+		p.eps[i].next = noState
+	}
+	p.inStart = make([]uint32, n*len(codeRep))
+	p.cands = []entry{{next: noState, act: actLast}}
+	p.candMask = make([]uint64, words)
 	for i := range m.States {
-		base := uint32(i) << 8
+		row := p.eps[i*len(stackRep):][:len(stackRep)]
 		for _, t := range m.States[i].Succ {
 			st := &m.States[t]
-			if st.Epsilon {
-				var conflict error
-				forEachSymbol(st.Stack, func(sym uint32) {
-					idx := base | sym
-					if p.epsNext[idx] != noState && conflict == nil {
-						conflict = fmt.Errorf("engine: %s: state %d: ε-successors %d and %d overlap on TOS %#02x",
-							m.Name, i, p.epsNext[idx], t, sym)
-					}
-					p.epsNext[idx] = int32(t)
-				})
-				if conflict != nil {
-					return nil, conflict
-				}
+			if !st.Epsilon {
 				continue
 			}
-			node := uint32(len(p.candTarget))
-			p.candTarget = append(p.candTarget, int32(t))
-			p.candNext = append(p.candNext, 0)
-			first := true
-			forEachSymbol(st.Input, func(sym uint32) {
-				idx := base | sym
-				if first {
-					p.candNext[node] = p.inHead[idx]
-					p.inHead[idx] = node
-					first = false
-					return
+			for c, sym := range stackRep {
+				// Validate rules out two ε-successors on one TOS.
+				if st.Stack.Contains(sym) {
+					row[c] = entry{int32(t), act(st)}
 				}
-				// The successor's input label covers several symbols:
-				// one chain node per symbol (nodes are two words; label
-				// sets wider than one symbol are rare in compiled
-				// grammars).
-				n2 := uint32(len(p.candTarget))
-				p.candTarget = append(p.candTarget, int32(t))
-				p.candNext = append(p.candNext, p.inHead[idx])
-				p.inHead[idx] = n2
-			})
+			}
+		}
+		for k, code := range codeRep {
+			head := uint32(len(p.cands))
+			for _, t := range m.States[i].Succ {
+				st := &m.States[t]
+				if st.Epsilon || !st.Input.Contains(code) {
+					continue
+				}
+				p.cands = append(p.cands, entry{int32(t), act(st)})
+				mask := len(p.candMask)
+				p.candMask = append(p.candMask, make([]uint64, words)...)
+				for c, sym := range stackRep {
+					if st.Stack.Contains(sym) {
+						p.candMask[mask+c>>6] |= 1 << (c & 63)
+					}
+				}
+			}
+			if last := len(p.cands) - 1; last >= int(head) {
+				p.cands[last].act |= actLast
+				p.inStart[i*len(codeRep)+k] = head
+			}
 		}
 	}
 	return p, nil
 }
 
-// forEachSymbol visits every symbol in the set, ascending.
-func forEachSymbol(s core.SymbolSet, fn func(sym uint32)) {
-	for w := 0; w < len(s); w++ {
-		word := s[w]
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			fn(uint32(w*64 + b))
-			word &= word - 1
+// classify partitions the 256 symbols so that two share a class iff
+// every set in sets contains both or neither. It numbers the classes
+// by their least symbol into cls and returns that symbol of each class.
+func classify(sets []core.SymbolSet, cls *[256]uint8) []core.Symbol {
+	// Refine one set at a time: a class splits into its members inside
+	// and outside the set. Each pass renumbers by least symbol.
+	var id [256]int
+	n := 1
+	for _, s := range sets {
+		var split [256][2]int
+		next := 0
+		for sym := range id {
+			in := 0
+			if s.Contains(core.Symbol(sym)) {
+				in = 1
+			}
+			if split[id[sym]][in] == 0 {
+				next++
+				split[id[sym]][in] = next
+			}
+			id[sym] = split[id[sym]][in] - 1
 		}
+		n = next
 	}
+	rep := make([]core.Symbol, n)
+	for sym := 255; sym >= 0; sym-- {
+		cls[sym] = uint8(id[sym])
+		rep[id[sym]] = core.Symbol(sym)
+	}
+	return rep
 }
 
 // Name returns the source machine's name.
@@ -219,10 +267,9 @@ func (p *Program) Fingerprint() uint64 { return p.fp }
 // TableBytes reports the lowered tables' approximate memory footprint,
 // for capacity observability (/v1/grammars).
 func (p *Program) TableBytes() int {
-	return len(p.flags) + len(p.popCnt) + len(p.pushSym) +
-		4*len(p.report) + 32*len(p.stackSet) +
-		4*len(p.epsNext) + 4*len(p.inHead) +
-		4*len(p.candTarget) + 4*len(p.candNext)
+	return len(p.stackClass) + len(p.codeClass) +
+		8*len(p.eps) + 4*len(p.inStart) + 8*len(p.cands) + 8*len(p.candMask) +
+		len(p.accept) + 4*len(p.report)
 }
 
 // Run executes the program over input with the same contract as

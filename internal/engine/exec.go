@@ -91,43 +91,72 @@ func (e *Exec) TOS() core.Symbol { return e.stack[len(e.stack)-1] }
 // StackLen returns the number of symbols on the stack above ⊥.
 func (e *Exec) StackLen() int { return len(e.stack) - 1 }
 
-// activate performs the entry actions of state id, mirroring
-// core.Execution.activate field for field (including the exact error
-// strings — serve responses embed them, and the two backends must
+// tosClass returns the stack class of the top-of-stack symbol.
+func (e *Exec) tosClass() uint32 { return uint32(e.p.stackClass[e.stack[len(e.stack)-1]]) }
+
+// match returns the candidate of the input run starting at cands[k]
+// whose stack-class mask holds tc, or the sentinel cands[0] (no next
+// state) when none does.
+func (p *Program) match(k, tc uint32) entry {
+	for p.candMask[k<<p.maskShift|tc>>6]>>(tc&63)&1 == 0 {
+		if p.cands[k].act&actLast != 0 {
+			return p.cands[0]
+		}
+		k++
+	}
+	return p.cands[k]
+}
+
+// The stack faults of activating state t, with core.Execution's exact
+// strings (serve responses embed them, and the two backends must
 // answer byte-identically).
-func (e *Exec) activate(id int32) error {
-	f := e.p.flags[id]
-	if n := int(e.p.popCnt[id]); n > 0 {
+func (p *Program) underflow(t int32, n, depth int) error {
+	return fmt.Errorf("%w: state %d (%s) pops %d with depth %d",
+		core.ErrStackUnderflow, t, p.labels[t], n, depth)
+}
+
+func (p *Program) overflow(t int32, depth int) error {
+	return fmt.Errorf("%w: state %d (%s) at depth %d",
+		core.ErrStackOverflow, t, p.labels[t], depth)
+}
+
+func epsLimit(cur int32, seq int) error {
+	return fmt.Errorf("%w: state %d after %d ε-steps", core.ErrEpsilonLimit, cur, seq)
+}
+
+// activate performs the entry actions of en, an ε-move when eps is
+// set, mirroring core.Execution.activate field for field.
+func (e *Exec) activate(en entry, eps bool) error {
+	a := en.act
+	if n := int(a & actPop); n > 0 {
 		if n > len(e.stack)-1 {
-			return fmt.Errorf("%w: state %d (%s) pops %d with depth %d",
-				core.ErrStackUnderflow, id, e.p.labels[id], n, len(e.stack)-1)
+			return e.p.underflow(en.next, n, len(e.stack)-1)
 		}
 		e.stack = e.stack[:len(e.stack)-n]
 	}
-	if f&flagPush != 0 {
+	if a&actPush != 0 {
 		if len(e.stack)-1 >= e.depth {
-			return fmt.Errorf("%w: state %d (%s) at depth %d",
-				core.ErrStackOverflow, id, e.p.labels[id], e.depth)
+			return e.p.overflow(en.next, e.depth)
 		}
-		e.stack = append(e.stack, e.p.pushSym[id])
+		e.stack = append(e.stack, core.Symbol(a>>actPushShift))
 	}
 	if d := len(e.stack) - 1; d > e.res.MaxStackDepth {
 		e.res.MaxStackDepth = d
 	}
-	e.cur = id
-	e.res.FinalState = core.StateID(id)
+	e.cur = en.next
+	e.res.FinalState = core.StateID(en.next)
 	e.res.Steps++
-	if f&flagEps != 0 {
+	if eps {
 		e.res.EpsilonStalls++
 		e.epsSeq++
 	} else {
 		e.epsSeq = 0
 	}
-	if f&flagAccept != 0 {
+	if a&actAccept != 0 {
 		e.res.ReportCount++
 		if e.collect {
 			e.res.Reports = append(e.res.Reports,
-				core.Report{Pos: e.pos, State: core.StateID(id), Code: e.p.report[id]})
+				core.Report{Pos: e.pos, State: core.StateID(en.next), Code: e.p.report[en.next]})
 		}
 	}
 	return nil
@@ -136,14 +165,14 @@ func (e *Exec) activate(id int32) error {
 // StepEpsilon takes one enabled ε-transition; false when none is
 // enabled.
 func (e *Exec) StepEpsilon() (bool, error) {
-	t := e.p.epsNext[uint32(e.cur)<<8|uint32(e.stack[len(e.stack)-1])]
-	if t == noState {
+	en := e.p.eps[uint32(e.cur)*e.p.nsc+e.tosClass()]
+	if en.next == noState {
 		return false, nil
 	}
 	if e.epsSeq >= e.epsLimit {
-		return false, fmt.Errorf("%w: state %d after %d ε-steps", core.ErrEpsilonLimit, e.cur, e.epsSeq)
+		return false, epsLimit(e.cur, e.epsSeq)
 	}
-	return true, e.activate(t)
+	return true, e.activate(en, true)
 }
 
 // DrainEpsilon takes ε-transitions until none is enabled, returning the
@@ -151,14 +180,8 @@ func (e *Exec) StepEpsilon() (bool, error) {
 func (e *Exec) DrainEpsilon() (int, error) {
 	n := 0
 	for {
-		t := e.p.epsNext[uint32(e.cur)<<8|uint32(e.stack[len(e.stack)-1])]
-		if t == noState {
-			return n, nil
-		}
-		if e.epsSeq >= e.epsLimit {
-			return n, fmt.Errorf("%w: state %d after %d ε-steps", core.ErrEpsilonLimit, e.cur, e.epsSeq)
-		}
-		if err := e.activate(t); err != nil {
+		ok, err := e.StepEpsilon()
+		if !ok || err != nil {
 			return n, err
 		}
 		n++
@@ -168,24 +191,20 @@ func (e *Exec) DrainEpsilon() (int, error) {
 // Feed consumes one input symbol (ε-moves must be drained first). It
 // returns false when no successor is enabled: the machine jams.
 func (e *Exec) Feed(sym core.Symbol) (bool, error) {
-	tos := e.stack[len(e.stack)-1]
-	i := e.p.inHead[uint32(e.cur)<<8|uint32(sym)]
-	for i != 0 {
-		t := e.p.candTarget[i]
-		if e.p.stackSet[t].Contains(tos) {
-			// Count the symbol before activating, exactly as core does:
-			// a report (or stack fault) fired by the consuming state
-			// sees the post-consumption position.
-			e.pos++
-			e.res.Consumed = e.pos
-			if err := e.activate(t); err != nil {
-				return false, err
-			}
-			return true, nil
-		}
-		i = e.p.candNext[i]
+	p := e.p
+	en := p.match(p.inStart[uint32(e.cur)*p.nic+uint32(p.codeClass[sym])], e.tosClass())
+	if en.next == noState {
+		return false, nil
 	}
-	return false, nil
+	// Count the symbol before activating, exactly as core does: a
+	// report (or stack fault) fired by the consuming state sees the
+	// post-consumption position.
+	e.pos++
+	e.res.Consumed = e.pos
+	if err := e.activate(en, false); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
 // FeedAll consumes codes in order — drain ε-moves, feed, per symbol —
@@ -195,114 +214,110 @@ func (e *Exec) Feed(sym core.Symbol) (bool, error) {
 // feeds each chunk through.
 //
 // It is the fused hot loop: the drain/feed sequence of the stepping
-// functions above with the execution state held in locals, written
-// back once per call instead of once per activation. Its observable
-// behavior — counters, error classes, error strings, state left behind
-// — is exactly that of DrainEpsilon+Feed per symbol; the differential
-// suite pins this.
+// functions above with the execution state in locals, written back
+// once per call. The top of stack is held as its class: a push sets it
+// from the action word, and only a pop reloads it through the
+// symbol→class map. Its observable behavior — counters,
+// reports, error classes, error strings, state left behind — is exactly
+// that of DrainEpsilon+Feed per symbol; the differential suite pins
+// this.
 func (e *Exec) FeedAll(codes []core.Symbol) (fed int, jammed bool, err error) {
-	if e.collect {
-		// Report collection needs the per-activation position, so the
-		// rare collecting path takes the plain stepping functions.
-		return e.feedSlow(codes)
-	}
 	p := e.p
 	cur := uint32(e.cur)
 	stack := e.stack
+	tc := e.tosClass()
 	pos := e.pos
 	epsSeq := e.epsSeq
-	steps := e.res.Steps
 	stalls := e.res.EpsilonStalls
 	maxDepth := e.res.MaxStackDepth
 	reports := e.res.ReportCount
 
-	fed = len(codes)
 loop:
-	for i, c := range codes {
-		// Drain ε-moves.
+	for fed < len(codes) {
 		for {
-			t := p.epsNext[cur<<8|uint32(stack[len(stack)-1])]
-			if t == noState {
+			en := p.eps[cur*p.nsc+tc]
+			if en.next == noState {
 				break
 			}
 			if epsSeq >= e.epsLimit {
-				fed, err = i, fmt.Errorf("%w: state %d after %d ε-steps", core.ErrEpsilonLimit, cur, epsSeq)
+				err = epsLimit(int32(cur), epsSeq)
 				break loop
 			}
-			f := p.flags[t]
-			if n := int(p.popCnt[t]); n > 0 {
+			a := en.act
+			if n := int(a & actPop); n > 0 {
 				if n > len(stack)-1 {
-					fed, err = i, fmt.Errorf("%w: state %d (%s) pops %d with depth %d",
-						core.ErrStackUnderflow, t, p.labels[t], n, len(stack)-1)
+					err = p.underflow(en.next, n, len(stack)-1)
 					break loop
 				}
 				stack = stack[:len(stack)-n]
+				tc = uint32(p.stackClass[stack[len(stack)-1]])
 			}
-			if f&flagPush != 0 {
+			if a&actPush != 0 {
 				if len(stack)-1 >= e.depth {
-					fed, err = i, fmt.Errorf("%w: state %d (%s) at depth %d",
-						core.ErrStackOverflow, t, p.labels[t], e.depth)
+					err = p.overflow(en.next, e.depth)
 					break loop
 				}
-				stack = append(stack, p.pushSym[t])
+				stack = append(stack, core.Symbol(a>>actPushShift))
+				tc = a >> actClsShift & 0xff
 			}
 			if d := len(stack) - 1; d > maxDepth {
 				maxDepth = d
 			}
-			cur = uint32(t)
-			steps++
+			cur = uint32(en.next)
 			stalls++
 			epsSeq++
-			if f&flagAccept != 0 {
+			if a&actAccept != 0 {
 				reports++
+				if e.collect {
+					e.res.Reports = append(e.res.Reports,
+						core.Report{Pos: pos, State: core.StateID(cur), Code: p.report[cur]})
+				}
 			}
 		}
-		// Feed c.
-		tos := stack[len(stack)-1]
-		idx := p.inHead[cur<<8|uint32(c)]
-		for idx != 0 {
-			t := p.candTarget[idx]
-			if p.stackSet[t].Contains(tos) {
-				pos++
-				f := p.flags[t]
-				if n := int(p.popCnt[t]); n > 0 {
-					if n > len(stack)-1 {
-						fed, err = i, fmt.Errorf("%w: state %d (%s) pops %d with depth %d",
-							core.ErrStackUnderflow, t, p.labels[t], n, len(stack)-1)
-						break loop
-					}
-					stack = stack[:len(stack)-n]
-				}
-				if f&flagPush != 0 {
-					if len(stack)-1 >= e.depth {
-						fed, err = i, fmt.Errorf("%w: state %d (%s) at depth %d",
-							core.ErrStackOverflow, t, p.labels[t], e.depth)
-						break loop
-					}
-					stack = append(stack, p.pushSym[t])
-				}
-				if d := len(stack) - 1; d > maxDepth {
-					maxDepth = d
-				}
-				cur = uint32(t)
-				steps++
-				epsSeq = 0
-				if f&flagAccept != 0 {
-					reports++
-				}
-				continue loop
-			}
-			idx = p.candNext[idx]
+		en := p.match(p.inStart[cur*p.nic+uint32(p.codeClass[codes[fed]])], tc)
+		if en.next == noState {
+			jammed = true
+			break
 		}
-		fed, jammed = i, true
-		break loop
+		pos++
+		a := en.act
+		if n := int(a & actPop); n > 0 {
+			if n > len(stack)-1 {
+				err = p.underflow(en.next, n, len(stack)-1)
+				break
+			}
+			stack = stack[:len(stack)-n]
+			tc = uint32(p.stackClass[stack[len(stack)-1]])
+		}
+		if a&actPush != 0 {
+			if len(stack)-1 >= e.depth {
+				err = p.overflow(en.next, e.depth)
+				break
+			}
+			stack = append(stack, core.Symbol(a>>actPushShift))
+			tc = a >> actClsShift & 0xff
+		}
+		if d := len(stack) - 1; d > maxDepth {
+			maxDepth = d
+		}
+		cur = uint32(en.next)
+		epsSeq = 0
+		if a&actAccept != 0 {
+			reports++
+			if e.collect {
+				e.res.Reports = append(e.res.Reports,
+					core.Report{Pos: pos, State: core.StateID(cur), Code: p.report[cur]})
+			}
+		}
+		fed++
 	}
 
 	e.cur = int32(cur)
 	e.stack = stack
 	e.pos = pos
 	e.epsSeq = epsSeq
-	e.res.Steps = steps
+	// Every step taken is a stall or a fed code.
+	e.res.Steps += stalls - e.res.EpsilonStalls + fed
 	e.res.EpsilonStalls = stalls
 	e.res.MaxStackDepth = maxDepth
 	e.res.ReportCount = reports
@@ -311,26 +326,8 @@ loop:
 	return fed, jammed, err
 }
 
-// feedSlow is FeedAll through the plain stepping functions, used when
-// report collection needs per-activation state.
-func (e *Exec) feedSlow(codes []core.Symbol) (fed int, jammed bool, err error) {
-	for i, c := range codes {
-		if _, err := e.DrainEpsilon(); err != nil {
-			return i, false, err
-		}
-		ok, err := e.Feed(c)
-		if err != nil {
-			return i, false, err
-		}
-		if !ok {
-			return i, true, nil
-		}
-	}
-	return len(codes), false, nil
-}
-
 // InAccept reports whether the active state is an accept state.
-func (e *Exec) InAccept() bool { return e.p.flags[e.cur]&flagAccept != 0 }
+func (e *Exec) InAccept() bool { return e.p.accept[e.cur] }
 
 // Result returns a snapshot of the run statistics so far.
 func (e *Exec) Result() core.Result { return e.res }

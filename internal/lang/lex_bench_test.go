@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"testing"
 
+	"aspen/internal/compile"
+	"aspen/internal/core"
+	"aspen/internal/engine"
 	"aspen/internal/lexer"
 	"aspen/internal/xmlgen"
 )
@@ -65,4 +68,71 @@ func BenchmarkLexBuiltins(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkFeedAllBuiltins measures the engine alone on the documents
+// BenchmarkLexBuiltins lexes: each document's codes (encoded once,
+// ending with ⊣) run through one reused Exec's FeedAll and the final
+// ε-drain. It reports ns and hDPDA steps per code.
+func BenchmarkFeedAllBuiltins(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		lang *Language
+		doc  []byte
+	}{
+		{"JSON", JSON(), lexRecordsDoc()},
+		{"XML-Low", XML(), xmlgen.Generate("lex-low", 64<<10, 0.1, 1).Data},
+		{"XML-High", XML(), xmlgen.Generate("lex-high", 64<<10, 0.9, 2).Data},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			codes, prog := benchCodes(b, c.lang, c.doc)
+			x := engine.NewExec(prog, engine.Options{})
+			var steps int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x.Reset()
+				if _, jammed, err := x.FeedAll(codes); err != nil || jammed {
+					b.Fatalf("document rejected: jammed %t, %v", jammed, err)
+				}
+				if _, err := x.DrainEpsilon(); err != nil || !x.InAccept() {
+					b.Fatalf("document rejected: %v", err)
+				}
+				steps = x.Result().Steps
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(codes)), "ns/code")
+			b.ReportMetric(float64(steps)/float64(len(codes)), "steps/code")
+		})
+	}
+}
+
+// benchCodes lexes doc and encodes its tokens as the language's machine
+// codes, ending with ⊣, and returns them with the lowered program.
+func benchCodes(b *testing.B, l *Language, doc []byte) ([]core.Symbol, *engine.Program) {
+	b.Helper()
+	lx, err := l.Lexer()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cm, err := l.Compile(compile.OptAll)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := cm.Engine()
+	if err != nil {
+		b.Fatal(err)
+	}
+	toks, _, err := lx.Tokenize(doc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	syms, err := l.Syms(toks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	codes, err := cm.Tokens.Encode(syms, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return codes, prog
 }

@@ -593,24 +593,30 @@ func TestCrossTenantSlotWait(t *testing.T) {
 	if _, err := pw.Write([]byte(`{"a": [1, `)); err != nil {
 		t.Fatal(err)
 	}
+	q, jf := s.sched, s.tenants.Load().byName["JSON"].flow
+	waitFor := func(what string, done func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			q.mu.Lock()
+			ok := done()
+			q.mu.Unlock()
+			if ok {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatal(what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// The stalled request holds JSON's only worker slot before the
+	// second is sent, so the second must wait in JSON's flow.
+	waitFor("stalled JSON request never took a worker slot", func() bool { return q.inflight >= 1 })
 	go post(bytes.NewReader([]byte(`[1]`)), second)
-
 	// Both JSON requests are committed to the scheduler once the second
 	// either holds a token or waits in JSON's flow.
-	q, jf := s.sched, s.tenants.Load().byName["JSON"].flow
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		q.mu.Lock()
-		n := q.inflight + len(jf.waiters)
-		q.mu.Unlock()
-		if n >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("JSON requests never reached the scheduler")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor("JSON requests never reached the scheduler", func() bool { return q.inflight+len(jf.waiters) >= 2 })
 
 	resp, out := postWhole(t, ts, "XML", []byte(`<a/>`))
 	if resp.StatusCode != http.StatusOK || !out.Accepted {

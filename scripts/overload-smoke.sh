@@ -45,8 +45,11 @@ get() {
 wait_addr() {
     addr=""
     for _ in $(seq 1 100); do
-        addr=$(sed -n "s#^$2: listening on http://##p" "$1")
-        [ -n "$addr" ] && return 0
+        # The daemon opens its log after the shell forks it.
+        if [ -f "$1" ]; then
+            addr=$(sed -n "s#^$2: listening on http://##p" "$1")
+            [ -n "$addr" ] && return 0
+        fi
         sleep 0.1
     done
     fail "$2 never announced its address (log $1)"
